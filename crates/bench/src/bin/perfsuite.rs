@@ -7,7 +7,9 @@
 //!   original binary-heap baseline it replaced (the seed reference), plus
 //!   the resulting speedup;
 //! * the hierarchical timing wheel the engine now runs on, on the same
-//!   churn workload, with speedups against both earlier queues;
+//!   churn workload, with speedups against both earlier queues, plus the
+//!   open-loop *preloaded* pattern (thousands of arrivals scheduled up
+//!   front), where the wheel must stay at least as fast as the seed heap;
 //! * end-to-end engine throughput in events/second under the TF-Serving
 //!   baseline (FIFO) and the Olympian scheduler, with a hard regression
 //!   guard: the Olympian rate must stay above 0.7x the PR 5 reference;
@@ -81,6 +83,13 @@ use std::time::{Duration, Instant};
 
 /// Events pushed through each queue per measured iteration.
 const QUEUE_EVENTS: usize = 100_000;
+
+/// Preloaded pattern: arrivals scheduled up front, [`PRELOAD_SPACING_NS`]
+/// apart, each fanning out into [`PRELOAD_FAN_OUT`] near-future events when
+/// it pops — the serving engine's open-loop shape.
+const PRELOAD_ARRIVALS: u64 = 4_000;
+const PRELOAD_SPACING_NS: u64 = 100_000;
+const PRELOAD_FAN_OUT: usize = 30;
 
 /// Seed-reference numbers: this suite run against the pre-optimization tree
 /// (HashMap job/kernel tables, per-run allocation, binary-heap event queue)
@@ -264,8 +273,35 @@ macro_rules! monotone_churn {
     }};
 }
 
+/// Preloaded arrivals: schedule every arrival up front (values below
+/// `PRELOAD_ARRIVALS`), then drain; each popped arrival schedules
+/// `PRELOAD_FAN_OUT` events at `now + delta`. The arrivals beyond 268 ms
+/// share one level-2 wheel slot for most of the run.
+macro_rules! preloaded_arrivals {
+    ($new:expr, $deltas:expr) => {{
+        let mut q = $new;
+        for k in 0..PRELOAD_ARRIVALS {
+            q.schedule(SimTime::from_nanos(k * PRELOAD_SPACING_NS), k);
+        }
+        let mut next = 0usize;
+        let mut acc = 0u64;
+        while let Some((now, v)) = q.pop() {
+            acc = acc.wrapping_add(v);
+            if v < PRELOAD_ARRIVALS {
+                for _ in 0..PRELOAD_FAN_OUT {
+                    let d = $deltas[next % $deltas.len()];
+                    q.schedule(now + SimDuration::from_nanos(d), PRELOAD_ARRIVALS);
+                    next += 1;
+                }
+            }
+        }
+        acc
+    }};
+}
+
 /// The hierarchical timing wheel the engine now runs on, against the 4-ary
-/// queue and the seed binary heap, all three on the monotone workload.
+/// queue and the seed binary heap, all three on the monotone workload; then
+/// the wheel against the seed heap on the preloaded-arrivals pattern.
 fn queue_wheel_section() -> Value {
     let deltas = wheel_workload();
     let wheel = harness::run("queue_wheel/timing-wheel", || {
@@ -286,6 +322,28 @@ fn queue_wheel_section() -> Value {
         "  -> queue_wheel: wheel {wheel_eps:.0} events/s \
          ({vs_four:.2}x 4-ary {four_eps:.0}, {vs_heap:.2}x seed heap {heap_eps:.0})"
     );
+    let pre_wheel = harness::run("queue_wheel/preloaded/timing-wheel", || {
+        black_box(preloaded_arrivals!(
+            TimingWheel::<u64>::with_capacity(1024),
+            deltas
+        ))
+    });
+    let pre_heap = harness::run("queue_wheel/preloaded/binary-heap", || {
+        black_box(preloaded_arrivals!(
+            BaselineEventQueue::<u64>::new(),
+            deltas
+        ))
+    });
+    // Both sides run in this process, so the ratio needs no reference
+    // recorded on another host.
+    let pre_vs_heap = pre_wheel.per_second() / pre_heap.per_second();
+    println!("  -> queue_wheel/preloaded: wheel {pre_vs_heap:.2}x seed heap");
+    assert!(
+        pre_vs_heap >= 1.0,
+        "timing wheel ran at {pre_vs_heap:.2}x the seed heap on preloaded arrivals — \
+         finding the earliest slot must not scan a crowded slot's list"
+    );
+    let pre_events = PRELOAD_ARRIVALS * (1 + PRELOAD_FAN_OUT as u64);
     Value::Object(vec![
         ("events_per_iter".into(), Value::UInt(QUEUE_EVENTS as u64)),
         ("wheel_events_per_sec".into(), Value::Float(wheel_eps)),
@@ -293,6 +351,19 @@ fn queue_wheel_section() -> Value {
         ("seed_baseline_events_per_sec".into(), Value::Float(heap_eps)),
         ("speedup_vs_four_ary".into(), Value::Float(vs_four)),
         ("speedup_vs_seed_baseline".into(), Value::Float(vs_heap)),
+        ("preloaded_events_per_iter".into(), Value::UInt(pre_events)),
+        (
+            "preloaded_wheel_events_per_sec".into(),
+            Value::Float(pre_wheel.per_second() * pre_events as f64),
+        ),
+        (
+            "preloaded_seed_baseline_events_per_sec".into(),
+            Value::Float(pre_heap.per_second() * pre_events as f64),
+        ),
+        (
+            "preloaded_speedup_vs_seed_baseline".into(),
+            Value::Float(pre_vs_heap),
+        ),
     ])
 }
 

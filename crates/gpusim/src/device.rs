@@ -166,9 +166,13 @@ struct TagState {
     queue: VecDeque<Pending>,
     bias: f64,
     busy: SimDuration,
-    /// Whether this tag has entered `order` (set on its first enqueue).
-    ordered: bool,
+    /// Position of this tag's first enqueue among all tags' first enqueues
+    /// ([`NO_RANK`] until then): the order `active` is kept in.
+    rank: u32,
 }
+
+/// `TagState::rank` of a tag that has never enqueued a kernel.
+const NO_RANK: u32 = u32::MAX;
 
 impl TagState {
     fn new(tag: JobTag) -> Self {
@@ -177,7 +181,7 @@ impl TagState {
             queue: VecDeque::new(),
             bias: 1.0,
             busy: SimDuration::ZERO,
-            ordered: false,
+            rank: NO_RANK,
         }
     }
 }
@@ -228,9 +232,13 @@ pub struct GpuDevice {
     fast_index: Vec<u32>,
     /// Fallback lookup for tags at or above [`FAST_TAGS`].
     slow_index: HashMap<u64, u32>,
-    /// First-enqueue ordering of tag indices — the deterministic candidate
-    /// iteration order for weighted picks.
-    order: Vec<u32>,
+    /// Indices of the tags whose queues are non-empty, sorted by
+    /// `TagState::rank` — the deterministic candidate order for weighted
+    /// picks. Arbitration walks only this list, so its cost tracks the
+    /// contexts with work queued, not every context the device has seen.
+    active: Vec<u32>,
+    /// Next first-enqueue rank to hand out.
+    next_rank: u32,
     busy_until: SimTime,
     started_any: bool,
     /// This instance's clock factor, drawn once from the profile's wobble.
@@ -255,7 +263,8 @@ impl GpuDevice {
             tags: Vec::new(),
             fast_index: Vec::new(),
             slow_index: HashMap::new(),
-            order: Vec::new(),
+            active: Vec::new(),
+            next_rank: 0,
             busy_until: SimTime::ZERO,
             started_any: false,
             run_clock_factor,
@@ -327,17 +336,31 @@ impl GpuDevice {
         extra_factor: f64,
     ) {
         debug_assert!(extra_factor > 0.0, "extra factor must be positive");
-        let i = self.tag_slot_or_insert(tag) as usize;
-        let t = &mut self.tags[i];
-        if !t.ordered {
-            t.ordered = true;
-            self.order.push(i as u32);
+        let i = self.tag_slot_or_insert(tag);
+        let t = &mut self.tags[i as usize];
+        if t.rank == NO_RANK {
+            t.rank = self.next_rank;
+            self.next_rank += 1;
         }
+        let was_idle = t.queue.is_empty();
         t.queue.push_back(Pending {
             payload,
             duration: true_duration,
             factor: extra_factor,
         });
+        if was_idle {
+            // A fresh rank is the largest issued, so first-time tags append.
+            let rank = t.rank;
+            let pos = self.active_pos(rank);
+            self.active.insert(pos, i);
+        }
+    }
+
+    /// Position in `active` of the tag with first-enqueue `rank` (or where
+    /// it belongs when absent).
+    fn active_pos(&self, rank: u32) -> usize {
+        self.active
+            .partition_point(|&j| self.tags[j as usize].rank < rank)
     }
 
     /// Starts the next kernel if the engine is free at `now` and any queue
@@ -356,6 +379,11 @@ impl GpuDevice {
         let t = &mut self.tags[slot];
         let tag = t.tag;
         let pending = t.queue.pop_front().expect("picked queue is non-empty");
+        if t.queue.is_empty() {
+            let rank = t.rank;
+            let pos = self.active_pos(rank);
+            self.active.remove(pos);
+        }
         let duration = pending
             .duration
             .mul_f64(self.profile.speed_factor * self.run_clock_factor * jitter * pending.factor);
@@ -370,7 +398,7 @@ impl GpuDevice {
         self.started_any = true;
         self.busy_total += duration;
         self.kernel_count += 1;
-        t.busy += duration;
+        self.tags[slot].busy += duration;
         Some(StartedKernel {
             payload: pending.payload,
             tag,
@@ -383,44 +411,28 @@ impl GpuDevice {
     /// Weighted pick among non-empty queues, deterministic given the seed.
     /// Returns the picked tag's index into `tags`.
     ///
-    /// Two allocation-free passes over the first-enqueue ordering replace
-    /// the old candidate vector; the weight arithmetic visits candidates in
-    /// the same order with the same float operations, and the RNG is drawn
-    /// only on contested picks — so every pick is bit-identical to the
-    /// candidate-vector implementation it replaced.
+    /// Candidates are visited in first-enqueue order with the same float
+    /// operations as a scan over every tag ever seen, and the RNG is drawn
+    /// only on contested picks, so every pick is bit-identical to that scan
+    /// (the unit tests keep it as a reference model).
     fn pick_tag(&mut self) -> Option<u32> {
+        match *self.active.as_slice() {
+            [] => return None,
+            [only] => return Some(only),
+            _ => {}
+        }
         let mut total = 0.0;
-        let mut count = 0usize;
-        let mut first = 0u32;
-        for &idx in &self.order {
-            let t = &self.tags[idx as usize];
-            if !t.queue.is_empty() {
-                total += t.bias;
-                if count == 0 {
-                    first = idx;
-                }
-                count += 1;
-            }
-        }
-        if count == 0 {
-            return None;
-        }
-        if count == 1 {
-            return Some(first);
+        for &idx in &self.active {
+            total += self.tags[idx as usize].bias;
         }
         let mut x = self.rng.next_f64() * total;
-        let mut last = first;
-        for &idx in &self.order {
-            let t = &self.tags[idx as usize];
-            if !t.queue.is_empty() {
-                x -= t.bias;
-                last = idx;
-                if x <= 0.0 {
-                    return Some(idx);
-                }
+        for &idx in &self.active {
+            x -= self.tags[idx as usize].bias;
+            if x <= 0.0 {
+                return Some(idx);
             }
         }
-        Some(last)
+        self.active.last().copied()
     }
 
     /// Cancels queued (not yet started) kernels whose payloads appear in
@@ -429,17 +441,24 @@ impl GpuDevice {
     /// overflow argument).
     pub fn cancel_payloads(&mut self, payloads: &std::collections::HashSet<u64>) -> usize {
         let mut removed = 0;
-        for t in &mut self.tags {
-            let before = t.queue.len();
-            t.queue.retain(|p| !payloads.contains(&p.payload));
-            removed += before - t.queue.len();
+        for &idx in &self.active {
+            let q = &mut self.tags[idx as usize].queue;
+            let before = q.len();
+            q.retain(|p| !payloads.contains(&p.payload));
+            removed += before - q.len();
         }
+        let tags = &self.tags;
+        self.active
+            .retain(|&idx| !tags[idx as usize].queue.is_empty());
         removed
     }
 
     /// Number of queued (not yet started) kernels.
     pub fn queued(&self) -> usize {
-        self.tags.iter().map(|t| t.queue.len()).sum()
+        self.active
+            .iter()
+            .map(|&idx| self.tags[idx as usize].queue.len())
+            .sum()
     }
 
     /// Number of kernels queued by one context.
@@ -715,5 +734,235 @@ mod tests {
     #[should_panic(expected = "bias must be positive")]
     fn non_positive_bias_panics() {
         device().set_bias(JobTag(1), 0.0);
+    }
+
+    /// Reference model of the arbitration `GpuDevice` replaced: every tag
+    /// ever enqueued stays in `order`, and each pick scans all of them.
+    /// Its RNG draws (clock wobble, contested picks, jitter) are the real
+    /// device's, so the two must start identical kernels.
+    struct RefDevice {
+        profile: DeviceProfile,
+        rng: DetRng,
+        tags: Vec<(JobTag, VecDeque<Pending>, f64)>,
+        index: HashMap<JobTag, usize>,
+        order: Vec<usize>,
+        busy_until: SimTime,
+        started_any: bool,
+        run_clock_factor: f64,
+        contested: usize,
+    }
+
+    impl RefDevice {
+        fn new(profile: DeviceProfile, seed: u64) -> Self {
+            let mut rng = DetRng::new(seed ^ 0xD00D_CE00);
+            let run_clock_factor = if profile.clock_wobble > 0.0 {
+                rng.lognormal(0.0, profile.clock_wobble)
+            } else {
+                1.0
+            };
+            RefDevice {
+                profile,
+                rng,
+                tags: Vec::new(),
+                index: HashMap::new(),
+                order: Vec::new(),
+                busy_until: SimTime::ZERO,
+                started_any: false,
+                run_clock_factor,
+                contested: 0,
+            }
+        }
+
+        fn slot(&mut self, tag: JobTag) -> usize {
+            let next = self.tags.len();
+            let i = *self.index.entry(tag).or_insert(next);
+            if i == next {
+                self.tags.push((tag, VecDeque::new(), 1.0));
+            }
+            i
+        }
+
+        fn set_bias(&mut self, tag: JobTag, weight: f64) {
+            let i = self.slot(tag);
+            self.tags[i].2 = weight;
+        }
+
+        fn enqueue(&mut self, tag: JobTag, payload: u64, duration: SimDuration, factor: f64) {
+            let i = self.slot(tag);
+            if !self.order.contains(&i) {
+                self.order.push(i);
+            }
+            self.tags[i].1.push_back(Pending {
+                payload,
+                duration,
+                factor,
+            });
+        }
+
+        fn pick_tag(&mut self) -> Option<usize> {
+            let live: Vec<usize> = self
+                .order
+                .iter()
+                .copied()
+                .filter(|&i| !self.tags[i].1.is_empty())
+                .collect();
+            match live.len() {
+                0 => return None,
+                1 => return Some(live[0]),
+                _ => self.contested += 1,
+            }
+            let total: f64 = live.iter().fold(0.0, |acc, &i| acc + self.tags[i].2);
+            let mut x = self.rng.next_f64() * total;
+            for &i in &live {
+                x -= self.tags[i].2;
+                if x <= 0.0 {
+                    return Some(i);
+                }
+            }
+            live.last().copied()
+        }
+
+        fn try_start(&mut self, now: SimTime) -> Option<StartedKernel> {
+            if now < self.busy_until {
+                return None;
+            }
+            let i = self.pick_tag()?;
+            let jitter = if self.profile.duration_jitter > 0.0 {
+                self.rng.jitter(self.profile.duration_jitter)
+            } else {
+                1.0
+            };
+            let pending = self.tags[i]
+                .1
+                .pop_front()
+                .expect("picked queue is non-empty");
+            let duration = pending.duration.mul_f64(
+                self.profile.speed_factor * self.run_clock_factor * jitter * pending.factor,
+            );
+            let ready_at = if self.started_any {
+                self.busy_until + self.profile.kernel_gap
+            } else {
+                SimTime::ZERO
+            };
+            let start = now.max(ready_at);
+            self.busy_until = start + duration;
+            self.started_any = true;
+            Some(StartedKernel {
+                payload: pending.payload,
+                tag: self.tags[i].0,
+                start,
+                end: start + duration,
+                duration,
+            })
+        }
+
+        fn cancel_payloads(&mut self, payloads: &std::collections::HashSet<u64>) -> usize {
+            let mut removed = 0;
+            for (_, q, _) in &mut self.tags {
+                let before = q.len();
+                q.retain(|p| !payloads.contains(&p.payload));
+                removed += before - q.len();
+            }
+            removed
+        }
+
+        fn queued(&self) -> usize {
+            self.tags.iter().map(|(_, q, _)| q.len()).sum()
+        }
+
+        fn queued_for(&self, tag: JobTag) -> usize {
+            self.index.get(&tag).map_or(0, |&i| self.tags[i].1.len())
+        }
+    }
+
+    #[test]
+    fn arbitration_matches_scan_all_reference() {
+        const TAGS: u64 = 600;
+        const WINDOW: u64 = 24;
+        for seed in 0..4u64 {
+            let profile = DeviceProfile::gtx_1080_ti();
+            let mut gpu = GpuDevice::new(profile.clone(), seed);
+            let mut oracle = RefDevice::new(profile, seed);
+            let mut rng = DetRng::new(0xA2B1 ^ seed);
+            // Tags above FAST_TAGS exercise the hash-map index as well.
+            let tag_of = |k: u64| JobTag(if k % 50 == 49 { FAST_TAGS + k } else { k });
+            let mut now = SimTime::ZERO;
+            let mut payload = 0u64;
+            let mut starts = 0usize;
+            for step in 0..30_000u64 {
+                // A window of active tags slides over all of them; one op
+                // in eight touches any tag, re-activating old ones so they
+                // rejoin the candidates mid-list by first-enqueue rank.
+                let base = step / 50;
+                let k = if rng.range_u64(0, 8) == 0 {
+                    rng.range_u64(0, TAGS)
+                } else {
+                    (base + rng.range_u64(0, WINDOW)) % TAGS
+                };
+                let tag = tag_of(k);
+                match rng.range_u64(0, 20) {
+                    0..=9 => {
+                        let dur = SimDuration::from_micros(rng.range_u64(1, 200));
+                        let factor = if rng.range_u64(0, 4) == 0 { 1.3 } else { 1.0 };
+                        gpu.enqueue(tag, payload, dur, factor);
+                        oracle.enqueue(tag, payload, dur, factor);
+                        payload += 1;
+                    }
+                    10..=16 => {
+                        if rng.range_u64(0, 3) == 0 {
+                            now += SimDuration::from_micros(rng.range_u64(0, 50));
+                        } else {
+                            now = now.max(gpu.busy_until());
+                        }
+                        let got = gpu.try_start(now);
+                        assert_eq!(got, oracle.try_start(now), "seed {seed} step {step}");
+                        starts += usize::from(got.is_some());
+                    }
+                    17 => {
+                        let lo = payload.saturating_sub(200);
+                        let doomed: std::collections::HashSet<u64> = (0..20)
+                            .map(|_| rng.range_u64(lo, payload.max(lo + 1)))
+                            .collect();
+                        assert_eq!(
+                            gpu.cancel_payloads(&doomed),
+                            oracle.cancel_payloads(&doomed),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    _ => {
+                        let w = 0.25 + 3.75 * rng.next_f64();
+                        gpu.set_bias(tag, w);
+                        oracle.set_bias(tag, w);
+                    }
+                }
+                assert_eq!(gpu.queued(), oracle.queued(), "seed {seed} step {step}");
+                assert_eq!(
+                    gpu.queued_for(tag),
+                    oracle.queued_for(tag),
+                    "seed {seed} step {step}"
+                );
+                if step % 1_000 == 0 {
+                    for k in 0..TAGS {
+                        let t = tag_of(k);
+                        assert_eq!(
+                            gpu.queued_for(t),
+                            oracle.queued_for(t),
+                            "seed {seed} tag {k}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                oracle.order.len() >= 500,
+                "seed {seed}: {} tags",
+                oracle.order.len()
+            );
+            assert!(
+                oracle.contested > 1_000,
+                "seed {seed}: {} contested",
+                oracle.contested
+            );
+            assert!(starts > 5_000, "seed {seed}: {starts} starts");
+        }
     }
 }

@@ -327,6 +327,9 @@ pub(crate) struct Engine<'a> {
     memories: Vec<MemoryPool>,
     scheduler: &'a mut dyn Scheduler,
     clients: Vec<ClientState>,
+    /// Sessions whose `outcome` is still `None`; only [`Engine::settle`]
+    /// lowers it, so the periodic ticks re-arm without scanning `clients`.
+    undecided: usize,
     /// Job handles, indexed by `JobId.0` — ids are dense from 0 (one per
     /// `register` call, including rejected ones).
     job_refs: Vec<JobRef>,
@@ -473,6 +476,7 @@ pub(crate) fn build_engine<'a>(
         devices,
         memories,
         scheduler,
+        undecided: client_states.len(),
         clients: client_states,
         job_refs: Vec::with_capacity(256),
         job_hot: Vec::new(),
@@ -672,8 +676,7 @@ impl Engine<'_> {
         {
             self.record(TraceKind::AdmissionShed { client: c.0 });
             self.telemetry.on_admission_shed();
-            self.clients[c.0 as usize].outcome =
-                Some(ClientOutcome::AdmissionShed { at: self.now });
+            self.settle(c, ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
         let cfg = self.cfg.clone();
@@ -773,6 +776,15 @@ impl Engine<'_> {
         }
     }
 
+    /// Ends session `c` with `outcome`. Every outcome is set here, so the
+    /// `undecided` count stays exact.
+    fn settle(&mut self, c: ClientId, outcome: ClientOutcome) {
+        let slot = &mut self.clients[c.0 as usize].outcome;
+        if slot.replace(outcome).is_none() {
+            self.undecided -= 1;
+        }
+    }
+
     fn admission_failure(&mut self, c: ClientId, e: gpusim::MemoryError) {
         if self.cfg.queue_admission {
             if !self.admission_waiting.contains(&c) {
@@ -781,10 +793,13 @@ impl Engine<'_> {
             }
         } else {
             self.telemetry.on_oom_reject();
-            self.clients[c.0 as usize].outcome = Some(ClientOutcome::RejectedOom {
-                requested: e.requested,
-                available: e.available,
-            });
+            self.settle(
+                c,
+                ClientOutcome::RejectedOom {
+                    requested: e.requested,
+                    available: e.available,
+                },
+            );
             self.record(TraceKind::ClientRejectedOom {
                 client: c.0,
                 requested: e.requested,
@@ -830,8 +845,13 @@ impl Engine<'_> {
                 self.record(TraceKind::BreakerTransition { client: c.0, state: "shed" });
                 self.telemetry
                     .on_client_shed(now, c.0, "retries-exhausted", u64::from(attempt));
-                self.clients[c.0 as usize].outcome =
-                    Some(ClientOutcome::RetriesExhausted { at: now, attempts: attempt });
+                self.settle(
+                    c,
+                    ClientOutcome::RetriesExhausted {
+                        at: now,
+                        attempts: attempt,
+                    },
+                );
             }
         }
         true
@@ -1056,8 +1076,8 @@ impl Engine<'_> {
                 // The id was consumed by the `register` call; keep the
                 // table dense.
                 self.job_refs.push(JobRef::Dead);
+                self.settle(c, ClientOutcome::RejectedByScheduler(e.to_string()));
                 let client = &mut self.clients[c.0 as usize];
-                client.outcome = Some(ClientOutcome::RejectedByScheduler(e.to_string()));
                 let home = client.home as usize;
                 let dev = client.device;
                 if let Some(a) = client.activations.take() {
@@ -1151,9 +1171,10 @@ impl Engine<'_> {
                 self.start_run(c);
             }
         } else {
-            client.outcome = Some(ClientOutcome::Finished(self.now));
+            self.settle(c, ClientOutcome::Finished(self.now));
             // The session is over: release its activation memory so queued
             // clients (and the peak-memory metric) see the truth.
+            let client = &mut self.clients[c.0 as usize];
             let dev = client.home as usize;
             let freed = client.activations.take();
             self.record(TraceKind::ClientFinished { client: c.0 });
@@ -1247,9 +1268,9 @@ impl Engine<'_> {
         }
         // Abort the whole session and release its memory (activations live
         // on the home device, which may differ from the routed one).
+        self.settle(c, outcome);
         let client = &mut self.clients[c.0 as usize];
         client.current_job = None;
-        client.outcome = Some(outcome);
         let home = client.home as usize;
         if let Some(a) = client.activations.take() {
             self.memories[home].free(a);
@@ -1542,7 +1563,7 @@ impl Engine<'_> {
             self.telemetry.on_cluster_reconfig();
         }
         let tick = self.cluster.as_ref().expect("cluster tick with cluster off").cfg.tick;
-        if self.clients.iter().any(|c| c.outcome.is_none()) {
+        if self.undecided > 0 {
             self.queue.schedule(now + tick, Event::ClusterTick);
         }
     }
@@ -1686,7 +1707,7 @@ impl Engine<'_> {
                 self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
             }
         }
-        if self.clients.iter().any(|c| c.outcome.is_none()) {
+        if self.undecided > 0 {
             self.queue.schedule(now + tick, Event::ControlTick);
         }
     }

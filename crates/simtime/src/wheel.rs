@@ -32,8 +32,16 @@
 //! ([`TimingWheel::nodes`], recycled through a free list) and each slot is
 //! the head of an intrusive singly-linked list threaded through the slab.
 //! The slab stays small and hot; the per-level head arrays are 1 KiB each.
-//! List order within a slot is arbitrary (push-front), which is fine: pops
-//! go through a sort or min-scan keyed on the unique packed key.
+//! List order within a slot is arbitrary (push-front), which is fine: a
+//! drained slot is sorted on the unique packed key before it pops.
+//!
+//! Each slot also caches its smallest key ([`TimingWheel::mins`]), lowered
+//! on every insert and reset when the slot is detached (slots are only ever
+//! emptied whole), so finding the earliest pending event reads one array
+//! entry instead of walking a list. The serving engine needs that: it
+//! schedules every client start up front, so on an open-loop workload all
+//! arrivals more than ≈268 ms out share one level-2 slot, and a walk per
+//! pop would cost time proportional to the arrivals still pending.
 //!
 //! # Ordering contract
 //!
@@ -114,6 +122,8 @@ pub struct TimingWheel<E> {
     heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot occupancy bitmaps (bit set ⇔ head is not [`NIL`]).
     occupied: [[u64; WORDS]; LEVELS],
+    /// Per-level smallest key filed in each slot (`u128::MAX` when empty).
+    mins: [[u128; SLOTS]; LEVELS],
     /// Pending events per level, so empty levels cost one branch to skip.
     counts: [usize; LEVELS],
     /// Far-future events (beyond [`HORIZON_TICKS`]), sorted by key
@@ -141,6 +151,7 @@ impl<E> TimingWheel<E> {
             free: NIL,
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [[0; WORDS]; LEVELS],
+            mins: [[u128::MAX; SLOTS]; LEVELS],
             counts: [0; LEVELS],
             overflow: Vec::new(),
             cur_tick: 0,
@@ -216,6 +227,8 @@ impl<E> TimingWheel<E> {
         };
         self.heads[lvl][slot] = i;
         self.occupied[lvl][slot / 64] |= 1 << (slot % 64);
+        let min = &mut self.mins[lvl][slot];
+        *min = (*min).min(key);
         self.counts[lvl] += 1;
     }
 
@@ -236,6 +249,7 @@ impl<E> TimingWheel<E> {
     #[inline]
     fn detach(&mut self, lvl: usize, slot: usize) -> u32 {
         self.occupied[lvl][slot / 64] &= !(1 << (slot % 64));
+        self.mins[lvl][slot] = u128::MAX;
         mem::replace(&mut self.heads[lvl][slot], NIL)
     }
 
@@ -270,19 +284,10 @@ impl<E> TimingWheel<E> {
         None
     }
 
-    /// Smallest key in `slot` of level `lvl` (list scan; slots stay small).
+    /// Smallest key in `slot` of level `lvl`, read from the cache.
+    #[inline]
     fn slot_min(&self, lvl: usize, slot: usize) -> u128 {
-        let mut min = u128::MAX;
-        let mut h = self.heads[lvl][slot];
-        while h != NIL {
-            match &self.nodes[h as usize] {
-                Node::Full { key, next, .. } => {
-                    min = min.min(*key);
-                    h = *next;
-                }
-                Node::Vacant(_) => unreachable!("slot list points at a vacant node"),
-            }
-        }
+        let min = self.mins[lvl][slot];
         debug_assert!(min != u128::MAX, "occupied slot is non-empty");
         min
     }
@@ -533,6 +538,7 @@ impl<E> TimingWheel<E> {
         self.free = NIL;
         self.heads = [[NIL; SLOTS]; LEVELS];
         self.occupied = [[0; WORDS]; LEVELS];
+        self.mins = [[u128::MAX; SLOTS]; LEVELS];
         self.counts = [0; LEVELS];
         self.overflow.clear();
         self.len = 0;
