@@ -360,7 +360,7 @@ impl Attribution {
                     grow(&mut device_stalls, device as usize, Vec::new());
                     device_stalls[device as usize].push((at, until_us * 1_000));
                 }
-                TraceKind::BreakerTransition { client, state } => {
+                TraceKind::BreakerTransition { client, state, .. } => {
                     seen_client(&mut client_device, client);
                     grow(&mut breaker_open, client as usize, None);
                     match state {

@@ -3,13 +3,11 @@
 //! Measures the simulator's hot paths and writes `BENCH_engine.json` at the
 //! workspace root:
 //!
-//! * event-queue throughput, for both the optimized 4-ary queue and the
-//!   original binary-heap baseline it replaced (the seed reference), plus
-//!   the resulting speedup;
-//! * the hierarchical timing wheel the engine now runs on, on the same
-//!   churn workload, with speedups against both earlier queues, plus the
-//!   open-loop *preloaded* pattern (thousands of arrivals scheduled up
-//!   front), where the wheel must stay at least as fast as the seed heap;
+//! * event-queue throughput of the hierarchical timing wheel the engine
+//!   runs on, against the original binary-heap queue it replaced (the seed
+//!   reference), on the engine's monotone churn and on the open-loop
+//!   *preloaded* pattern (thousands of arrivals scheduled up front), where
+//!   the wheel must stay at least as fast as the seed heap;
 //! * end-to-end engine throughput in events/second under the TF-Serving
 //!   baseline (FIFO) and the Olympian scheduler, with a hard regression
 //!   guard: the Olympian rate must stay above 0.7x the PR 5 reference;
@@ -75,7 +73,7 @@ use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin};
 use serving::{
     run_experiment, run_sharded_experiment, ClientSpec, EngineConfig, FifoScheduler, Scheduler,
 };
-use simtime::{BaselineEventQueue, DetRng, EventQueue, SimDuration, SimTime, TimingWheel};
+use simtime::{BaselineEventQueue, DetRng, SimDuration, SimTime, TimingWheel};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -94,9 +92,9 @@ const PRELOAD_FAN_OUT: usize = 30;
 /// Seed-reference numbers: this suite run against the pre-optimization tree
 /// (HashMap job/kernel tables, per-run allocation, binary-heap event queue)
 /// on the same machine — `perfsuite --smoke` for the engine rates and a
-/// timed `all --jobs 1` for the suite wall clock. The queue section needs no
-/// recorded number because `BaselineEventQueue` *is* the seed queue and is
-/// measured live above.
+/// timed `all --jobs 1` for the suite wall clock. The queue_wheel section
+/// needs no recorded number because `BaselineEventQueue` *is* the seed
+/// queue and is measured live above.
 const SEED_ENGINE_FIFO_EPS: f64 = 3_088_458.0;
 const SEED_ENGINE_OLYMPIAN_EPS: f64 = 2_955_628.0;
 const SEED_SUITE_WALL_SECS: f64 = 172.5;
@@ -169,80 +167,14 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Pre-generated schedule instants: a mix of near-future times with plenty
-/// of same-instant ties, the shape the serving engine produces.
-fn queue_workload() -> Vec<SimTime> {
-    let mut rng = DetRng::new(0xBEEF);
-    (0..QUEUE_EVENTS)
-        .map(|_| SimTime::from_nanos(rng.range_u64(0, 4096)))
-        .collect()
-}
-
-/// Schedules all instants in bursts of 4, popping 3 per burst, then drains —
-/// exercising both sift directions under realistic occupancy.
-fn churn_optimized(times: &[SimTime]) -> u64 {
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(1024);
-    let mut acc = 0u64;
-    for (i, &t) in times.iter().enumerate() {
-        q.schedule(t, i as u64);
-        if i % 4 == 3 {
-            for _ in 0..3 {
-                acc = acc.wrapping_add(q.pop().expect("non-empty").1);
-            }
-        }
-    }
-    while let Some((_, v)) = q.pop() {
-        acc = acc.wrapping_add(v);
-    }
-    acc
-}
-
-fn churn_baseline(times: &[SimTime]) -> u64 {
-    let mut q: BaselineEventQueue<u64> = BaselineEventQueue::new();
-    let mut acc = 0u64;
-    for (i, &t) in times.iter().enumerate() {
-        q.schedule(t, i as u64);
-        if i % 4 == 3 {
-            for _ in 0..3 {
-                acc = acc.wrapping_add(q.pop().expect("non-empty").1);
-            }
-        }
-    }
-    while let Some((_, v)) = q.pop() {
-        acc = acc.wrapping_add(v);
-    }
-    acc
-}
-
-fn queue_section() -> Value {
-    let times = queue_workload();
-    let opt = harness::run("queue_optimized/4-ary", || black_box(churn_optimized(&times)));
-    let base = harness::run("queue_baseline/binary-heap", || {
-        black_box(churn_baseline(&times))
-    });
-    let opt_eps = opt.per_second() * QUEUE_EVENTS as f64;
-    let base_eps = base.per_second() * QUEUE_EVENTS as f64;
-    let speedup = opt_eps / base_eps;
-    println!(
-        "  -> queue: optimized {opt_eps:.0} events/s vs seed baseline {base_eps:.0} events/s \
-         (speedup {speedup:.2}x)"
-    );
-    Value::Object(vec![
-        ("events_per_iter".into(), Value::UInt(QUEUE_EVENTS as u64)),
-        ("seed_baseline_events_per_sec".into(), Value::Float(base_eps)),
-        ("optimized_events_per_sec".into(), Value::Float(opt_eps)),
-        ("speedup".into(), Value::Float(speedup)),
-    ])
-}
-
 /// Pre-generated near-future offsets for the monotone churn workload: the
 /// engine only ever schedules at `now + delta`, never in the past, with
 /// deltas on the kernel/switch-latency scale (microseconds to a couple of
 /// milliseconds — a few to a few hundred wheel ticks out, the level-0
-/// horizon). That is the shape the timing wheel is built for; the
-/// absolute-time workload above would land everything in the wheel's
-/// current tick and measure its same-tick insertion buffer instead of the
-/// engine-relevant path.
+/// horizon). That is the shape the timing wheel is built for; absolute
+/// near-zero times would land everything in the wheel's current tick and
+/// measure its same-tick insertion buffer instead of the engine-relevant
+/// path.
 fn wheel_workload() -> Vec<u64> {
     let mut rng = DetRng::new(0xF00D);
     (0..QUEUE_EVENTS).map(|_| rng.range_u64(0, 1 << 20)).collect()
@@ -299,28 +231,23 @@ macro_rules! preloaded_arrivals {
     }};
 }
 
-/// The hierarchical timing wheel the engine now runs on, against the 4-ary
-/// queue and the seed binary heap, all three on the monotone workload; then
-/// the wheel against the seed heap on the preloaded-arrivals pattern.
+/// The hierarchical timing wheel the engine runs on, against the seed
+/// binary heap, on the monotone workload and on the preloaded-arrivals
+/// pattern.
 fn queue_wheel_section() -> Value {
     let deltas = wheel_workload();
     let wheel = harness::run("queue_wheel/timing-wheel", || {
         black_box(monotone_churn!(TimingWheel::<u64>::with_capacity(1024), deltas))
     });
-    let four = harness::run("queue_wheel/4-ary", || {
-        black_box(monotone_churn!(EventQueue::<u64>::with_capacity(1024), deltas))
-    });
     let heap = harness::run("queue_wheel/binary-heap", || {
         black_box(monotone_churn!(BaselineEventQueue::<u64>::new(), deltas))
     });
     let wheel_eps = wheel.per_second() * QUEUE_EVENTS as f64;
-    let four_eps = four.per_second() * QUEUE_EVENTS as f64;
     let heap_eps = heap.per_second() * QUEUE_EVENTS as f64;
-    let vs_four = wheel_eps / four_eps;
     let vs_heap = wheel_eps / heap_eps;
     println!(
         "  -> queue_wheel: wheel {wheel_eps:.0} events/s \
-         ({vs_four:.2}x 4-ary {four_eps:.0}, {vs_heap:.2}x seed heap {heap_eps:.0})"
+         ({vs_heap:.2}x seed heap {heap_eps:.0})"
     );
     let pre_wheel = harness::run("queue_wheel/preloaded/timing-wheel", || {
         black_box(preloaded_arrivals!(
@@ -347,9 +274,7 @@ fn queue_wheel_section() -> Value {
     Value::Object(vec![
         ("events_per_iter".into(), Value::UInt(QUEUE_EVENTS as u64)),
         ("wheel_events_per_sec".into(), Value::Float(wheel_eps)),
-        ("four_ary_events_per_sec".into(), Value::Float(four_eps)),
         ("seed_baseline_events_per_sec".into(), Value::Float(heap_eps)),
-        ("speedup_vs_four_ary".into(), Value::Float(vs_four)),
         ("speedup_vs_seed_baseline".into(), Value::Float(vs_heap)),
         ("preloaded_events_per_iter".into(), Value::UInt(pre_events)),
         (
@@ -1193,7 +1118,6 @@ fn main() -> ExitCode {
     std::env::set_var(simpar::JOBS_ENV, jobs.to_string());
 
     println!("perfsuite ({} mode, {jobs} jobs)", if smoke { "smoke" } else { "full" });
-    let queue = queue_section();
     let queue_wheel = queue_wheel_section();
     let (engine, fifo_eps, oly_eps) = engine_section();
     let soa = soa_section(oly_eps);
@@ -1213,7 +1137,6 @@ fn main() -> ExitCode {
         ("schema".into(), Value::str("BENCH_engine/v1")),
         ("mode".into(), Value::str(if smoke { "smoke" } else { "full" })),
         ("jobs".into(), Value::UInt(jobs as u64)),
-        ("queue".into(), queue),
         ("queue_wheel".into(), queue_wheel),
         ("engine".into(), engine),
         ("soa".into(), soa),

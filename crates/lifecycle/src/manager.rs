@@ -303,6 +303,11 @@ impl LifecycleManager {
         self.models[key.model as usize].versions[key.version as usize - 1].state
     }
 
+    /// Served (deployment) names, by deployment index.
+    pub fn model_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.models.iter().map(|m| m.name.as_str())
+    }
+
     /// Number of managed deployments (dense indices `0..model_count()`).
     pub fn model_count(&self) -> usize {
         self.models.len()

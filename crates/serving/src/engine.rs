@@ -31,7 +31,7 @@ use crate::client::ClientSpec;
 use crate::config::EngineConfig;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
-use crate::trace::{SwitchReason, TraceBuffer, TraceKind};
+use crate::trace::{ShedCause, SwitchReason, TraceBuffer, TraceKind};
 use dataflow::{Graph, NodeId, Placement};
 use faults::{BreakerEvent, BreakerState, CircuitBreaker, FaultInjector, RetryPolicy};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
@@ -212,7 +212,8 @@ struct JobCold {
     graph: Arc<Graph>,
     /// Completed quanta as `(end time, GPU duration received)`.
     quanta: Vec<(SimTime, SimDuration)>,
-    /// Registration time — the run's latency baseline for telemetry.
+    /// Registration time — the baseline of the run's deadline and of the
+    /// latency reported to the lifecycle layer.
     started_at: SimTime,
 }
 
@@ -343,8 +344,8 @@ pub(crate) struct Engine<'a> {
     starving: VecDeque<JobId>,
     /// Clients waiting for memory under queued admission, FIFO.
     admission_waiting: VecDeque<ClientId>,
-    /// Loaded weights, keyed by (model name, device index).
-    weights_loaded: HashMap<(String, u32), Allocation>,
+    /// Loaded weights per device index, keyed by model name.
+    weights_loaded: Vec<HashMap<String, Allocation>>,
     /// In-flight kernel slab: the device payload is the slab index.
     kernels: Vec<Option<(JobId, NodeId)>>,
     kernel_free: Vec<u32>,
@@ -467,7 +468,15 @@ pub(crate) fn build_engine<'a>(
             managers,
         }
     });
-    let telemetry = TelemetryHub::new(&cfg.telemetry);
+    let deployments = lifecycle
+        .as_ref()
+        .map(|rt| &rt.mgr)
+        .or_else(|| cluster_rt.as_ref().map(|rt| &rt.managers[0]));
+    let telemetry = TelemetryHub::new(
+        &cfg.telemetry,
+        client_states.iter().map(|c| c.spec.model.name()),
+        deployments.into_iter().flat_map(LifecycleManager::model_names),
+    );
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
         cfg: cfg.clone(),
@@ -485,7 +494,7 @@ pub(crate) fn build_engine<'a>(
         pool_idle: cfg.pool_size,
         starving: VecDeque::new(),
         admission_waiting: VecDeque::new(),
-        weights_loaded: HashMap::new(),
+        weights_loaded: (0..profiles.len()).map(|_| HashMap::new()).collect(),
         kernels: Vec::with_capacity(64),
         kernel_free: Vec::with_capacity(64),
         last_switch: None,
@@ -675,7 +684,6 @@ impl Engine<'_> {
             .is_some_and(|rt| rt.machine.state() == controlplane::DegradeState::Shedding)
         {
             self.record(TraceKind::AdmissionShed { client: c.0 });
-            self.telemetry.on_admission_shed();
             self.settle(c, ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
@@ -694,11 +702,6 @@ impl Engine<'_> {
             1.0
         };
 
-        // Model weights are loaded once and shared across clients of the
-        // same model (TF-Serving's servable sharing).
-        let model_name = client.spec.model.name().to_string();
-        let weights_bytes = client.spec.model.weights_bytes();
-        let activation_bytes = client.spec.model.activation_bytes();
         let bias = if cfg.driver_bias_spread > 0.0 {
             Some(client.rng.lognormal(0.0, cfg.driver_bias_spread))
         } else {
@@ -716,47 +719,34 @@ impl Engine<'_> {
         if let Some(b) = bias {
             self.devices[dev as usize].set_bias(JobTag(c.0 as u64), b);
         }
-        if self.try_admit(c, dev, model_name, weights_bytes, activation_bytes) {
-            if self.telemetry.is_on() {
-                let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                self.telemetry.bind_client(c.0, &model);
-            }
-            self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-            self.start_run(c);
+        if self.try_admit(c, dev) {
+            self.admitted(c, dev);
         }
     }
 
     /// Attempts to reserve the client's memory on `dev`. On failure, either
     /// parks the client in the admission queue (queued admission) or
     /// rejects it outright (the default, TF-Serving's behaviour).
-    fn try_admit(
-        &mut self,
-        c: ClientId,
-        dev: u32,
-        model_name: String,
-        weights_bytes: u64,
-        activation_bytes: u64,
-    ) -> bool {
+    fn try_admit(&mut self, c: ClientId, dev: u32) -> bool {
         if self.faults.is_some() && self.alloc_fault_fired(c) {
             // A retry (or a terminal shed) is already arranged.
             return false;
         }
+        let model = &self.clients[c.0 as usize].spec.model;
+        let name = model.name();
+        let activation_bytes = model.activation_bytes();
         // A lifecycle-managed model's weights are owned by the manager
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
-        let managed = self
-            .lifecycle
-            .as_ref()
-            .is_some_and(|rt| rt.mgr.manages(&model_name))
-            || self
-                .cluster
-                .as_ref()
-                .is_some_and(|rt| rt.managers[0].manages(&model_name));
-        let key = (model_name, dev);
-        if !managed && !self.weights_loaded.contains_key(&key) {
-            match self.memories[dev as usize].alloc(weights_bytes) {
+        let managed = self.lifecycle.as_ref().is_some_and(|rt| rt.mgr.manages(name))
+            || self.cluster.as_ref().is_some_and(|rt| rt.managers[0].manages(name));
+        // Unmanaged weights are loaded once per device and shared across
+        // clients of the same model (TF-Serving's servable sharing).
+        let loaded = &mut self.weights_loaded[dev as usize];
+        if !managed && !loaded.contains_key(name) {
+            match self.memories[dev as usize].alloc(model.weights_bytes()) {
                 Ok(a) => {
-                    self.weights_loaded.insert(key, a);
+                    loaded.insert(name.to_string(), a);
                 }
                 Err(e) => {
                     self.admission_failure(c, e);
@@ -792,7 +782,6 @@ impl Engine<'_> {
                 self.admission_waiting.push_back(c);
             }
         } else {
-            self.telemetry.on_oom_reject();
             self.settle(
                 c,
                 ClientOutcome::RejectedOom {
@@ -826,7 +815,6 @@ impl Engine<'_> {
         };
         let retry_at = fr.retry.next_retry_at(now, attempt - 1, None, &mut fr.retry_rng);
         self.record(TraceKind::AllocFault { client: c.0, attempt });
-        self.telemetry.on_alloc_fault();
         match retry_at {
             Some(at) => {
                 // `job == u64::MAX` / `node == u32::MAX` mark an admission
@@ -838,13 +826,14 @@ impl Engine<'_> {
                     attempt,
                     delay: at - now,
                 });
-                self.telemetry.on_retry();
                 self.queue.schedule(at, Event::RetryAdmit(c));
             }
             None => {
-                self.record(TraceKind::BreakerTransition { client: c.0, state: "shed" });
-                self.telemetry
-                    .on_client_shed(now, c.0, "retries-exhausted", u64::from(attempt));
+                self.record(TraceKind::BreakerTransition {
+                    client: c.0,
+                    state: "shed",
+                    shed: Some(ShedCause::RetriesExhausted(attempt)),
+                });
                 self.settle(
                     c,
                     ClientOutcome::RetriesExhausted {
@@ -871,46 +860,31 @@ impl Engine<'_> {
             self.pump_admission();
             return;
         }
-        let (dev, model_name, weights, activations) = {
-            let client = &self.clients[c.0 as usize];
-            (
-                client.device,
-                client.spec.model.name().to_string(),
-                client.spec.model.weights_bytes(),
-                client.spec.model.activation_bytes(),
-            )
-        };
-        if self.try_admit(c, dev, model_name, weights, activations) {
-            if self.telemetry.is_on() {
-                let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                self.telemetry.bind_client(c.0, &model);
-            }
-            self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-            self.start_run(c);
+        let dev = self.clients[c.0 as usize].device;
+        if self.try_admit(c, dev) {
+            self.admitted(c, dev);
         }
     }
 
     /// Re-attempts admission for waiting clients, FIFO, after memory freed.
     fn pump_admission(&mut self) {
         while let Some(&c) = self.admission_waiting.front() {
-            let client = &self.clients[c.0 as usize];
-            let dev = client.device;
-            let model_name = client.spec.model.name().to_string();
-            let weights = client.spec.model.weights_bytes();
-            let activations = client.spec.model.activation_bytes();
-            if self.try_admit(c, dev, model_name, weights, activations) {
+            let dev = self.clients[c.0 as usize].device;
+            if self.try_admit(c, dev) {
                 self.admission_waiting.pop_front();
-                if self.telemetry.is_on() {
-                    let model = self.clients[c.0 as usize].spec.model.name().to_string();
-                    self.telemetry.bind_client(c.0, &model);
-                }
-                self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
-                self.start_run(c);
+                self.admitted(c, dev);
             } else {
                 // Head-of-line blocking preserved: admission is FIFO.
                 break;
             }
         }
+    }
+
+    /// The admission epilogue shared by first attempts, fault retries and
+    /// the queued-admission pump: land the fact, then issue the first run.
+    fn admitted(&mut self, c: ClientId, dev: u32) {
+        self.record(TraceKind::ClientAdmitted { client: c.0, device: dev });
+        self.start_run(c);
     }
 
     fn start_run(&mut self, c: ClientId) {
@@ -1026,7 +1000,6 @@ impl Engine<'_> {
         };
         match self.scheduler.register(job_id, &ctx) {
             Ok(verdict) => {
-                self.telemetry.on_run_start();
                 self.record(TraceKind::RunRegistered { job: job_id.0, client: c.0 });
                 if batch != full_batch {
                     self.record(TraceKind::BatchShrink {
@@ -1034,7 +1007,6 @@ impl Engine<'_> {
                         from: full_batch,
                         to: batch,
                     });
-                    self.telemetry.on_batch_shrink();
                 }
                 let slot = match self.free_slots.pop() {
                     Some(s) => {
@@ -1125,12 +1097,8 @@ impl Engine<'_> {
         }
         if let Some(acc) = final_quantum {
             self.record(TraceKind::QuantumEnd { job: job_id.0, client: c.0, gpu: acc });
-            if let Some(alert) = self.telemetry.on_quantum(c.0, acc, self.now) {
-                self.record_alert(&alert);
-            }
         }
         self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0 });
-        self.telemetry.on_run_complete(c.0, self.now - started_at, self.now);
         {
             let cold = &self.job_cold[slot];
             let client = &mut self.clients[c.0 as usize];
@@ -1190,7 +1158,6 @@ impl Engine<'_> {
         let slot = self.live_slot(job_id).expect("cancelling a live job");
         let c = self.job_hot[slot].client;
         self.record(TraceKind::DeadlineCancelled { job: job_id.0, client: c.0 });
-        self.telemetry.on_deadline_cancel();
         self.teardown_job(job_id, c, ClientOutcome::DeadlineExceeded(self.now));
     }
 
@@ -1203,11 +1170,13 @@ impl Engine<'_> {
         c: ClientId,
         job_id: JobId,
         outcome: ClientOutcome,
-        action: &'static str,
-        detail: u64,
+        cause: ShedCause,
     ) {
-        self.record(TraceKind::BreakerTransition { client: c.0, state: "shed" });
-        self.telemetry.on_client_shed(self.now, c.0, action, detail);
+        self.record(TraceKind::BreakerTransition {
+            client: c.0,
+            state: "shed",
+            shed: Some(cause),
+        });
         self.teardown_job(job_id, c, outcome);
     }
 
@@ -1334,7 +1303,6 @@ impl Engine<'_> {
                         version: key.version,
                         bytes,
                     });
-                    self.telemetry.on_version_load();
                 }
                 LifecycleEvent::Warmup { key, run } => {
                     self.record(TraceKind::WarmupRun {
@@ -1342,7 +1310,6 @@ impl Engine<'_> {
                         version: key.version,
                         run,
                     });
-                    self.telemetry.on_warmup_run();
                 }
                 LifecycleEvent::Evicted { key, bytes } => {
                     self.record(TraceKind::Evict {
@@ -1350,11 +1317,14 @@ impl Engine<'_> {
                         version: key.version,
                         bytes,
                     });
-                    self.telemetry.on_version_evict();
                     freed = true;
                 }
-                LifecycleEvent::Unloaded { .. } => {
-                    self.telemetry.on_version_unload();
+                LifecycleEvent::Unloaded { key, bytes } => {
+                    self.record(TraceKind::VersionUnload {
+                        model: key.model,
+                        version: key.version,
+                        bytes,
+                    });
                     freed = true;
                 }
                 LifecycleEvent::Drain { key, inflight } => {
@@ -1363,35 +1333,22 @@ impl Engine<'_> {
                         version: key.version,
                         inflight,
                     });
-                    self.telemetry.on_drain_start();
                 }
                 LifecycleEvent::Promote { key, cand_us, base_us } => {
                     self.record(TraceKind::CanaryPromote {
                         model: key.model,
                         version: key.version,
-                    });
-                    self.telemetry.on_rollout(
-                        self.now,
-                        self.lifecycle.as_ref().expect("event without manager").mgr.model_name(key),
-                        key.version,
-                        "promote",
                         cand_us,
                         base_us,
-                    );
+                    });
                 }
                 LifecycleEvent::Rollback { key, cand_us, base_us } => {
                     self.record(TraceKind::CanaryRollback {
                         model: key.model,
                         version: key.version,
-                    });
-                    self.telemetry.on_rollout(
-                        self.now,
-                        self.lifecycle.as_ref().expect("event without manager").mgr.model_name(key),
-                        key.version,
-                        "rollback",
                         cand_us,
                         base_us,
-                    );
+                    });
                 }
             }
         }
@@ -1493,7 +1450,6 @@ impl Engine<'_> {
             device: dev,
             cost_us: cost_ns / 1_000,
         });
-        self.telemetry.on_cluster_route();
         let mut fx = LcEffects::default();
         let route = {
             let rt = self.cluster.as_mut().unwrap();
@@ -1560,7 +1516,6 @@ impl Engine<'_> {
         let (loads, drains) = self.cluster_reconfigure();
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
-            self.telemetry.on_cluster_reconfig();
         }
         let tick = self.cluster.as_ref().expect("cluster tick with cluster off").cfg.tick;
         if self.undecided > 0 {
@@ -1669,7 +1624,6 @@ impl Engine<'_> {
                         from: d as u32,
                         to: placements[0] as u32,
                     });
-                    self.telemetry.on_cluster_migrate();
                 }
             }
         }
@@ -1703,7 +1657,6 @@ impl Engine<'_> {
                     client: c.0,
                     deficit_us,
                 });
-                self.telemetry.on_laxity_cancel();
                 self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
             }
         }
@@ -1744,13 +1697,12 @@ impl Engine<'_> {
         doomed
     }
 
-    /// Lands a degradation-ladder transition on the trace and telemetry.
+    /// Lands a degradation-ladder transition on the event stream.
     fn note_control_transition(&mut self, tr: controlplane::Transition) {
         self.record(TraceKind::ControlTransition {
             from: tr.from.as_str(),
             to: tr.to.as_str(),
         });
-        self.telemetry.on_control_transition();
     }
 
     /// The control plane's alert reactions: an SLO burn escalates the
@@ -1765,6 +1717,8 @@ impl Engine<'_> {
                     let rt = self.control.as_mut().expect("control hook with control on");
                     rt.machine.on_burn(*at)
                 };
+                // Control feedback into the monitor, not a fact: a direct
+                // call.
                 self.telemetry.reset_burn_latch(*slo);
                 if let Some(tr) = transition {
                     self.note_control_transition(tr);
@@ -1788,7 +1742,6 @@ impl Engine<'_> {
                 };
                 if let Some(scale_ppm) = rebound {
                     self.record(TraceKind::ProfileRebind { client: *client, scale_ppm });
-                    self.telemetry.on_profile_rebind();
                 }
             }
             _ => {}
@@ -1797,9 +1750,17 @@ impl Engine<'_> {
 
     // ---- scheduling plumbing ---------------------------------------------
 
+    /// Emits one fact at `self.now` — the engine's single event entry
+    /// point. Each event goes to two sinks: the trace ring (which applies
+    /// its own sampling and kernel gate) and, whenever telemetry is on, the
+    /// telemetry fold. A drift alert the fold raises is acted on and
+    /// mirrored into the ring on the spot.
     #[inline]
     fn record(&mut self, kind: TraceKind) {
         self.trace.record(self.now, kind);
+        if let Some(alert) = self.telemetry.observe(self.now, &kind) {
+            self.record_alert(&alert);
+        }
     }
 
     /// Samples the gauge set telemetry publishes at snapshot boundaries.
@@ -1820,7 +1781,8 @@ impl Engine<'_> {
     }
 
     /// Emits every telemetry snapshot boundary due at `self.now` and lands
-    /// any burn-rate alerts on the trace timeline.
+    /// any burn-rate alerts on the trace timeline. Snapshots sample engine
+    /// gauges rather than fold events, so this is a direct call.
     fn telemetry_tick(&mut self) {
         let gauges = self.engine_gauges();
         let alerts = self.telemetry.tick(self.now, &gauges);
@@ -1832,7 +1794,9 @@ impl Engine<'_> {
 
     /// Mirrors a telemetry alert into the trace ring as a typed event, so
     /// it shows up on the Perfetto timeline next to the quanta and runs
-    /// that caused it.
+    /// that caused it. Alert kinds go straight to the ring, not through
+    /// [`record`](Self::record): the fold already counted them.
+    #[cold]
     fn record_alert(&mut self, alert: &Alert) {
         if self.control.is_some() {
             self.control_on_alert(alert);
@@ -1878,12 +1842,10 @@ impl Engine<'_> {
                 if let Some(s) = self.live_slot(old) {
                     let client = self.job_hot[s].client.0;
                     self.record(TraceKind::WatchdogRevoke { job: old.0, client, stalled_us });
-                    self.telemetry.on_watchdog_revoke(self.now, client, stalled_us);
                 }
             }
         }
         self.switch_count += 1;
-        self.telemetry.on_token_switch();
         if let Some(last) = self.last_switch {
             self.intervals.push(self.now - last);
         }
@@ -1902,15 +1864,14 @@ impl Engine<'_> {
                 };
                 if let Some(acc) = flushed {
                     self.record(TraceKind::QuantumEnd { job: old.0, client, gpu: acc });
-                    if let Some(alert) = self.telemetry.on_quantum(client, acc, self.now) {
-                        self.record_alert(&alert);
-                    }
                 }
             }
         }
-        if self.trace.is_on() {
-            // A revoked/granted job may already be deregistered (its slot is
-            // freed before the verdict reaches us), hence the Option client.
+        if self.trace.is_on() || self.telemetry.is_on() {
+            // The token-switch counter is folded from this revoke/grant
+            // pair. A revoked/granted job may already be deregistered (its
+            // slot is freed before the verdict reaches us), hence the
+            // Option client.
             if let Some(old) = from {
                 let client = self.live_slot(old).map(|s| self.job_hot[s].client.0);
                 self.record(TraceKind::TokenRevoke { job: old.0, client, reason });
@@ -2072,6 +2033,8 @@ impl Engine<'_> {
             let j = &mut self.job_hot[slot];
             if j.granted_at != SimTime::MAX {
                 let granted = std::mem::replace(&mut j.granted_at, SimTime::MAX);
+                // A direct call, not an event: this endpoint of the hand-off
+                // is a per-kernel fact the trace records only in Full mode.
                 self.telemetry.on_handoff(self.now - granted);
             }
         }
@@ -2139,7 +2102,11 @@ impl Engine<'_> {
                 fr.attempts.remove(&(job_id.0, node.index() as u32));
             }
             if reopened {
-                self.record(TraceKind::BreakerTransition { client: c.0, state: "closed" });
+                self.record(TraceKind::BreakerTransition {
+                    client: c.0,
+                    state: "closed",
+                    shed: None,
+                });
             }
             return false;
         }
@@ -2173,13 +2140,15 @@ impl Engine<'_> {
             node: node.index() as u32,
             attempt,
         });
-        self.telemetry.on_kernel_fault();
         if let BreakerEvent::Opened { .. } = breaker_event {
-            self.record(TraceKind::BreakerTransition { client: c.0, state: "open" });
-            self.telemetry.on_breaker_open(now, c.0);
+            self.record(TraceKind::BreakerTransition { client: c.0, state: "open", shed: None });
         }
         if probe_scheduled {
-            self.record(TraceKind::BreakerTransition { client: c.0, state: "half-open" });
+            self.record(TraceKind::BreakerTransition {
+                client: c.0,
+                state: "half-open",
+                shed: None,
+            });
         }
         match retry_at {
             Some(at) => {
@@ -2190,24 +2159,18 @@ impl Engine<'_> {
                     attempt,
                     delay: at - now,
                 });
-                self.telemetry.on_retry();
                 self.queue.schedule(at, Event::RetryKernel { job: job_id, node });
             }
             None => {
-                let (outcome, action, detail) = if breaker_event == BreakerEvent::Shed {
-                    (
-                        ClientOutcome::CircuitOpen { at: now, trips },
-                        "circuit-open",
-                        u64::from(trips),
-                    )
+                let (outcome, cause) = if breaker_event == BreakerEvent::Shed {
+                    (ClientOutcome::CircuitOpen { at: now, trips }, ShedCause::CircuitOpen(trips))
                 } else {
                     (
                         ClientOutcome::RetriesExhausted { at: now, attempts: attempt },
-                        "retries-exhausted",
-                        u64::from(attempt),
+                        ShedCause::RetriesExhausted(attempt),
                     )
                 };
-                self.shed_client(c, job_id, outcome, action, detail);
+                self.shed_client(c, job_id, outcome, cause);
             }
         }
         true
@@ -2372,7 +2335,8 @@ impl Engine<'_> {
         // alerts fired at the end of the run still land on the timeline.
         if self.telemetry.is_on() {
             // Surface the trace ring's drop count before the final snapshot
-            // so it is visible in the last (totals) registry row.
+            // so it is visible in the last (totals) registry row — a direct
+            // call, since it is a fact about the trace, not an event in it.
             self.telemetry.on_trace_dropped(self.trace.dropped());
             let gauges = self.engine_gauges();
             let alerts = self.telemetry.finalize(makespan, &gauges);

@@ -2,8 +2,8 @@
 //! (re-exported here so downstream code keeps one import path).
 //!
 //! With [`EngineConfig::telemetry`](crate::EngineConfig::telemetry) set to
-//! an enabled configuration, the engine updates an online metrics registry
-//! from its hook points (admissions, runs, quanta, token hand-offs) and
+//! an enabled configuration, the engine folds its typed event stream (the
+//! same events the trace ring records) into an online metrics registry and
 //! snapshots it at a fixed virtual-time cadence. SLO burn-rate and quantum
 //! drift alerts fire *during* the run and are mirrored into the trace
 //! ring, so they appear on the Perfetto timeline. The finished series is

@@ -45,14 +45,13 @@
 //!
 //! # Ordering contract
 //!
-//! Identical to [`EventQueue`](crate::EventQueue) and
-//! [`BaselineEventQueue`](crate::BaselineEventQueue): pops come in
-//! non-decreasing time order and FIFO among same-instant ties. Internally
-//! every event carries the same packed `(time << 64) | seq` key the heap
-//! uses; the events of the tick under the cursor sit in a small sorted
+//! Identical to [`BaselineEventQueue`](crate::BaselineEventQueue): pops
+//! come in non-decreasing time order and FIFO among same-instant ties.
+//! Internally every event carries a packed `(time << 64) | seq` key; the
+//! events of the tick under the cursor sit in a small sorted
 //! *front* buffer, so within-tick ordering is exact — the wheel never
 //! approximates. Because keys are unique, the wheel's pop sequence is
-//! byte-identical to both heaps', which the property suite enforces.
+//! byte-identical to the heap's, which the property suite enforces.
 
 use crate::SimTime;
 use std::mem;
@@ -96,8 +95,8 @@ enum Node<E> {
 
 /// The hierarchical timing-wheel event queue.
 ///
-/// Drop-in replacement for [`EventQueue`](crate::EventQueue): same API,
-/// same ordering contract, same deterministic pop sequence.
+/// Same ordering contract and deterministic pop sequence as
+/// [`BaselineEventQueue`](crate::BaselineEventQueue).
 ///
 /// ```
 /// use simtime::{SimTime, TimingWheel};

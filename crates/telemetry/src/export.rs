@@ -260,6 +260,7 @@ mod tests {
         BurnWindows, DriftConfig, EngineGauges, SloSpec, TelemetryConfig, TelemetryHub,
     };
     use simtime::{SimDuration, SimTime};
+    use trace::TraceKind;
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -274,12 +275,16 @@ mod tests {
             .with_slo(SloSpec::new("m", us(100), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
             .with_drift(DriftConfig::new(us(200), 0.1));
-        let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, "m");
+        let mut h = TelemetryHub::new(&cfg, ["m"], []);
+        h.observe(t(0), &TraceKind::ClientAdmitted { client: 0, device: 0 });
         let g = EngineGauges::default();
         for i in 0..6u64 {
-            h.on_quantum(0, us(320), SimTime::from_micros(i * 80 + 10));
-            h.on_run_complete(0, us(400), t(400));
+            h.observe(
+                SimTime::from_micros(i * 80 + 10),
+                &TraceKind::QuantumEnd { job: 0, client: 0, gpu: us(320) },
+            );
+            h.observe(t(0), &TraceKind::RunRegistered { job: 0, client: 0 });
+            h.observe(t(400), &TraceKind::RunCompleted { job: 0, client: 0 });
             h.tick(SimTime::from_micros((i + 1) * 80), &g);
         }
         h.finalize(SimTime::from_micros(480), &g);
@@ -364,10 +369,11 @@ mod tests {
     fn adversarial_label_values_roundtrip() {
         const EVIL: &str = "mo\\del \"v2\"\nwith newline";
         let cfg = TelemetryConfig::enabled(us(100));
-        let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, EVIL);
-        h.on_quantum(0, us(50), SimTime::from_micros(10));
-        h.on_run_complete(0, us(60), t(60));
+        let mut h = TelemetryHub::new(&cfg, [EVIL], []);
+        h.observe(t(0), &TraceKind::ClientAdmitted { client: 0, device: 0 });
+        h.observe(t(10), &TraceKind::QuantumEnd { job: 0, client: 0, gpu: us(50) });
+        h.observe(t(0), &TraceKind::RunRegistered { job: 0, client: 0 });
+        h.observe(t(60), &TraceKind::RunCompleted { job: 0, client: 0 });
         h.finalize(SimTime::from_micros(100), &EngineGauges::default());
         let r = h.into_report(SimTime::from_micros(100));
         let text = prometheus_text(&r);

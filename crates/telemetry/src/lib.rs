@@ -3,13 +3,14 @@
 //! Live telemetry for the serving stack: a deterministic online metrics
 //! registry, an SLO burn-rate monitor and streaming drift detection.
 //!
-//! The PR 2 trace layer records *what happened* for post-hoc timelines;
-//! this crate watches the run *while it executes*, the way an operator
-//! would: counters, gauges and log-linear histograms
-//! ([`registry::MetricsRegistry`]) are updated from engine hook points and
-//! snapshotted at a fixed **virtual-time** cadence, so two runs of the same
-//! experiment produce byte-identical telemetry however the surrounding
-//! harness is parallelized — the same guarantee the trace ring gives.
+//! The trace layer records *what happened* for post-hoc timelines; this
+//! crate watches the run *while it executes*, the way an operator would:
+//! counters, gauges and log-linear histograms
+//! ([`registry::MetricsRegistry`]) are folded from the engine's typed
+//! [`TraceKind`] events ([`TelemetryHub::observe`]) and snapshotted at a
+//! fixed **virtual-time** cadence, so two runs of the same experiment
+//! produce byte-identical telemetry however the surrounding harness is
+//! parallelized — the same guarantee the trace ring gives.
 //!
 //! On top of the registry sit two online health monitors:
 //!
@@ -24,11 +25,13 @@
 //! Perfetto timeline next to the quanta that caused them.
 //!
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
-//! buffers and every hook reduces to one predicted branch; the engine's
+//! buffers and every event reduces to one predicted branch; the engine's
 //! snapshot check is a single `t >= next_due()` compare against
 //! `SimTime::MAX`. A `perfsuite` section holds this to noise.
 
 use simtime::{SimDuration, SimTime};
+use std::collections::HashMap;
+use trace::TraceKind;
 
 pub mod drift;
 pub mod export;
@@ -452,18 +455,34 @@ struct Ids {
 
 #[derive(Debug, Clone)]
 struct ClientState {
-    model: String,
+    /// Index into `TelemetryHub::model_names`; `None` until the client is
+    /// admitted, so a client table grown past a never-admitted client
+    /// reports an empty model name for it.
+    model: Option<u32>,
     slo: Option<u32>,
     drift: Option<DriftDetector>,
     gpu_ns: u64,
+    /// Registration time of the client's in-flight run (a client has at
+    /// most one) — the baseline of its completion latency.
+    run_start: SimTime,
 }
 
-/// The engine-side telemetry recorder.
+impl ClientState {
+    const UNBOUND: ClientState =
+        ClientState { model: None, slo: None, drift: None, gpu_ns: 0, run_start: SimTime::ZERO };
+}
+
+/// The engine-side telemetry recorder: a fold over the engine's typed
+/// [`TraceKind`] stream.
 ///
-/// All hooks are no-ops behind a single predicted branch when telemetry is
-/// off; the snapshot cadence is driven by the engine comparing event times
-/// against [`next_due`](TelemetryHub::next_due), which is `SimTime::MAX`
-/// when off so the hot loop pays exactly one compare.
+/// The engine hands every fact it records to [`observe`](Self::observe);
+/// counters, histograms, the run log and the fault/rollout alerts are all
+/// derived from those events, so a counter with no event behind it cannot
+/// exist. Everything is a no-op behind a single predicted branch when
+/// telemetry is off; the snapshot cadence is driven by the engine
+/// comparing event times against [`next_due`](TelemetryHub::next_due),
+/// which is `SimTime::MAX` when off so the hot loop pays exactly one
+/// compare.
 #[derive(Debug)]
 pub struct TelemetryHub {
     on: bool,
@@ -474,7 +493,17 @@ pub struct TelemetryHub {
     drift_template: Option<DriftConfig>,
     slo_specs: Vec<SloSpec>,
     monitors: Vec<SloMonitor>,
+    /// Distinct client model names, first-seen order.
+    model_names: Vec<String>,
+    /// Per client id: its index into `model_names`.
+    client_model: Vec<u32>,
+    /// Lifecycle deployment names, by deployment index.
+    lifecycle_models: Vec<String>,
+    /// Grows on admission, up to the highest admitted client id.
     clients: Vec<ClientState>,
+    /// The previous observed event was a `TokenRevoke`: a `TokenGrant`
+    /// right after it belongs to the same token move.
+    after_revoke: bool,
     snapshots: SnapshotSeries,
     /// Scratch for the per-snapshot fairness computation, reused across
     /// boundaries so the snapshot path stays allocation-free.
@@ -484,32 +513,44 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// Creates a hub. Allocates nothing when telemetry is off.
+    /// Creates a hub. `client_models` names each client's model, by
+    /// client id; `lifecycle_models` names each lifecycle deployment, by
+    /// deployment index — so every event payload can stay an id. Allocates
+    /// nothing (and consumes neither name list) when telemetry is off.
     ///
     /// # Panics
     ///
     /// Panics on an invalid enabled configuration (see
     /// [`TelemetryConfig::validate`]).
-    pub fn new(cfg: &TelemetryConfig) -> TelemetryHub {
+    pub fn new<'n>(
+        cfg: &TelemetryConfig,
+        client_models: impl IntoIterator<Item = &'n str>,
+        lifecycle_models: impl IntoIterator<Item = &'n str>,
+    ) -> TelemetryHub {
         cfg.validate();
+        let mut hub = TelemetryHub {
+            on: false,
+            interval: cfg.interval,
+            next_due: SimTime::MAX,
+            registry: MetricsRegistry::new(),
+            ids: None,
+            drift_template: None,
+            slo_specs: Vec::new(),
+            monitors: Vec::new(),
+            model_names: Vec::new(),
+            client_model: Vec::new(),
+            lifecycle_models: Vec::new(),
+            clients: Vec::new(),
+            after_revoke: false,
+            snapshots: SnapshotSeries::default(),
+            shares_scratch: Vec::new(),
+            alerts: Vec::new(),
+            run_log: RunLog::default(),
+        };
         if !cfg.enabled {
-            return TelemetryHub {
-                on: false,
-                interval: cfg.interval,
-                next_due: SimTime::MAX,
-                registry: MetricsRegistry::new(),
-                ids: None,
-                drift_template: None,
-                slo_specs: Vec::new(),
-                monitors: Vec::new(),
-                clients: Vec::new(),
-                snapshots: SnapshotSeries::default(),
-                shares_scratch: Vec::new(),
-                alerts: Vec::new(),
-                run_log: RunLog::default(),
-            };
+            return hub;
         }
-        let mut registry = MetricsRegistry::new();
+        let registry = &mut hub.registry;
         let ids = Ids {
             c_admitted: registry.counter("clients_admitted"),
             c_oom: registry.counter("clients_rejected_oom"),
@@ -561,30 +602,26 @@ impl TelemetryHub {
             registry.observe(ids.h_batch_size, size);
             registry.observe(ids.h_batch_wait, wait.as_nanos() / 1_000);
         }
-        let monitors = cfg
-            .slos
-            .iter()
-            .map(|s| SloMonitor::new(cfg.burn, s.budget))
-            .collect();
-        TelemetryHub {
-            on: true,
-            interval: cfg.interval,
-            next_due: SimTime::ZERO + cfg.interval,
-            registry,
-            ids: Some(ids),
-            drift_template: cfg.drift.clone(),
-            slo_specs: cfg.slos.clone(),
-            monitors,
-            clients: Vec::new(),
-            snapshots: SnapshotSeries::default(),
-            shares_scratch: Vec::new(),
-            alerts: Vec::new(),
-            run_log: RunLog::default(),
+        let mut interned: HashMap<&str, u32> = HashMap::new();
+        for name in client_models {
+            let m = *interned.entry(name).or_insert_with(|| {
+                hub.model_names.push(name.to_string());
+                hub.model_names.len() as u32 - 1
+            });
+            hub.client_model.push(m);
         }
+        hub.lifecycle_models = lifecycle_models.into_iter().map(str::to_string).collect();
+        hub.monitors = cfg.slos.iter().map(|s| SloMonitor::new(cfg.burn, s.budget)).collect();
+        hub.on = true;
+        hub.next_due = SimTime::ZERO + cfg.interval;
+        hub.ids = Some(ids);
+        hub.drift_template = cfg.drift.clone();
+        hub.slo_specs = cfg.slos.clone();
+        hub
     }
 
     /// Whether anything is recorded. Call sites use this to skip building
-    /// hook payloads entirely.
+    /// event payloads entirely.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.on
@@ -598,358 +635,139 @@ impl TelemetryHub {
     }
 
     fn ids(&self) -> Ids {
-        self.ids.expect("telemetry hooks called while off")
+        self.ids.expect("telemetry fed while off")
     }
 
-    /// Registers a client (called at admission). Grows the per-client
-    /// table — the only allocation after construction, and only at
-    /// client-arrival granularity.
-    pub fn bind_client(&mut self, client: u32, model: &str) {
-        if !self.on {
-            return;
-        }
-        let idx = client as usize;
-        if self.clients.len() <= idx {
-            self.clients.resize(
-                idx + 1,
-                ClientState { model: String::new(), slo: None, drift: None, gpu_ns: 0 },
-            );
-        }
-        self.clients[idx] = ClientState {
-            model: model.to_string(),
-            slo: self
-                .slo_specs
-                .iter()
-                .position(|s| s.model == model)
-                .map(|i| i as u32),
-            drift: self.drift_template.clone().map(DriftDetector::new),
-            gpu_ns: 0,
-        };
-        let ids = self.ids();
-        self.registry.inc(ids.c_admitted, 1);
-    }
-
-    /// A client's admission failed on GPU memory.
+    /// Folds one engine event recorded at `at` into the registry. Returns
+    /// a drift alert the first time a client's quantum detector fires (on
+    /// a `QuantumEnd`), for the engine to act on and mirror into the trace.
+    ///
+    /// Token moves are counted once per move: a `TokenGrant` immediately
+    /// following a `TokenRevoke` is the second half of the same move.
     #[inline]
-    pub fn on_oom_reject(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_oom, 1);
-    }
-
-    /// A `Session::Run` registered.
-    #[inline]
-    pub fn on_run_start(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_runs_started, 1);
-    }
-
-    /// A run was cancelled by its deadline.
-    #[inline]
-    pub fn on_deadline_cancel(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_deadline, 1);
-    }
-
-    /// The token moved.
-    #[inline]
-    pub fn on_token_switch(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_switches, 1);
-    }
-
-    /// Token hand-off latency: grant to the holder's first kernel
-    /// submission.
-    #[inline]
-    pub fn on_handoff(&mut self, latency: SimDuration) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
-    }
-
-    /// A kernel launch transiently failed (injected fault).
-    #[inline]
-    pub fn on_kernel_fault(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_faults_kernel, 1);
-    }
-
-    /// A memory reservation transiently failed (injected fault).
-    #[inline]
-    pub fn on_alloc_fault(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_faults_alloc, 1);
-    }
-
-    /// A retry was scheduled after backoff.
-    #[inline]
-    pub fn on_retry(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_retries, 1);
-    }
-
-    /// A client's circuit breaker tripped open; lands on the
-    /// `fault-recovery` alert stream.
-    pub fn on_breaker_open(&mut self, at: SimTime, client: u32) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_breaker_open, 1);
-        self.alerts.push(Alert::FaultRecovery {
-            at,
-            client,
-            action: "breaker-open",
-            detail: 0,
-        });
-    }
-
-    /// A client was shed by the recovery layer (`action` is
-    /// `retries-exhausted` or `circuit-open`, `detail` the attempt count).
-    pub fn on_client_shed(&mut self, at: SimTime, client: u32, action: &'static str, detail: u64) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_shed, 1);
-        self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
-    }
-
-    /// The token-hold watchdog revoked a stalled holder's token.
-    pub fn on_watchdog_revoke(&mut self, at: SimTime, client: u32, stalled_us: u64) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_watchdog, 1);
-        self.alerts.push(Alert::FaultRecovery {
-            at,
-            client,
-            action: "watchdog-revoke",
-            detail: stalled_us,
-        });
-    }
-
-    /// A model version's weights started loading (lifecycle layer).
-    #[inline]
-    pub fn on_version_load(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_loaded, 1);
-    }
-
-    /// A drained version was unloaded (lifecycle layer).
-    #[inline]
-    pub fn on_version_unload(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_unloaded, 1);
-    }
-
-    /// An idle version was evicted for memory (lifecycle layer).
-    #[inline]
-    pub fn on_version_evict(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_versions_evicted, 1);
-    }
-
-    /// A freshly loaded version completed one warm-up run (lifecycle
-    /// layer).
-    #[inline]
-    pub fn on_warmup_run(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_warmup_runs, 1);
-    }
-
-    /// The trace ring overwrote `n` events over the whole run (reported
-    /// once at finalization, before the final snapshot). A non-zero value
-    /// flags every trace-derived attribution as computed from a truncated
-    /// stream.
-    #[inline]
-    pub fn on_trace_dropped(&mut self, n: u64) {
-        if !self.on || n == 0 {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_trace_dropped, n);
-    }
-
-    /// The control plane's degradation ladder changed rungs (control
-    /// layer).
-    #[inline]
-    pub fn on_control_transition(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_control_transitions, 1);
-    }
-
-    /// A new admission was rejected by the Shedding rung (control layer).
-    #[inline]
-    pub fn on_admission_shed(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_admission_shed, 1);
-    }
-
-    /// A run's batch hint was shrunk by the Degraded rung (control layer).
-    #[inline]
-    pub fn on_batch_shrink(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_batch_shrinks, 1);
-    }
-
-    /// A drift alert triggered an in-run profile rebind (control layer).
-    #[inline]
-    pub fn on_profile_rebind(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_profile_rebinds, 1);
-    }
-
-    /// A laxity-negative run was cancelled early (control layer).
-    #[inline]
-    pub fn on_laxity_cancel(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_laxity_cancels, 1);
-    }
-
-    /// The cluster router stamped an arriving run and picked a device
-    /// (cluster layer).
-    #[inline]
-    pub fn on_cluster_route(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_routes, 1);
-    }
-
-    /// The reconfiguration plan moved a model between devices (cluster
-    /// layer).
-    #[inline]
-    pub fn on_cluster_migrate(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_migrations, 1);
-    }
-
-    /// One `ClusterTick` solved and executed a reconfiguration plan
-    /// (cluster layer).
-    #[inline]
-    pub fn on_cluster_reconfig(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_cluster_reconfigs, 1);
-    }
-
-    /// Acknowledges a burn alert on objective `slo`, resetting that
-    /// monitor's rising-edge latch so a burn that persists through the
-    /// control plane's countermeasure fires again at the next boundary.
-    #[inline]
-    pub fn reset_burn_latch(&mut self, slo: u32) {
-        if !self.on {
-            return;
-        }
-        if let Some(m) = self.monitors.get_mut(slo as usize) {
-            m.reset_latch();
-        }
-    }
-
-    /// A version started draining (lifecycle layer).
-    #[inline]
-    pub fn on_drain_start(&mut self) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_drains, 1);
-    }
-
-    /// The rollout controller decided a canary (`action` is `"promote"`
-    /// or `"rollback"`); lands on the `rollout` alert stream.
-    pub fn on_rollout(
-        &mut self,
-        at: SimTime,
-        model: &str,
-        version: u32,
-        action: &'static str,
-        cand_us: u64,
-        base_us: u64,
-    ) {
-        if !self.on {
-            return;
-        }
-        let ids = self.ids();
-        if action == "promote" {
-            self.registry.inc(ids.c_promotions, 1);
-        } else {
-            self.registry.inc(ids.c_rollbacks, 1);
-        }
-        self.alerts.push(Alert::Rollout {
-            at,
-            model: model.to_string(),
-            version,
-            action,
-            cand_us,
-            base_us,
-        });
-    }
-
-    /// A quantum was flushed for `client`: feeds the quantum histogram,
-    /// the per-client GPU share and the streaming drift detector. Returns
-    /// a drift alert the first time that client's detector fires.
-    pub fn on_quantum(&mut self, client: u32, gpu: SimDuration, at: SimTime) -> Option<Alert> {
-        if !self.on {
+    pub fn observe(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
+        // Per-kernel events carry nothing the fold counts. Checking here,
+        // inline, lets each engine call site settle both branches at
+        // compile time.
+        if !self.on || kind.is_kernel() {
             return None;
         }
+        self.fold(at, kind)
+    }
+
+    fn fold(&mut self, at: SimTime, kind: &TraceKind) -> Option<Alert> {
+        let ids = self.ids();
+        let after_revoke = std::mem::take(&mut self.after_revoke);
+        let counter = match *kind {
+            TraceKind::ClientAdmitted { client, .. } => {
+                self.bind(client);
+                ids.c_admitted
+            }
+            TraceKind::ClientRejectedOom { .. } => ids.c_oom,
+            TraceKind::RunRegistered { client, .. } => {
+                if let Some(state) = self.clients.get_mut(client as usize) {
+                    state.run_start = at;
+                }
+                ids.c_runs_started
+            }
+            TraceKind::RunCompleted { client, .. } => {
+                self.run_complete(at, client);
+                ids.c_runs_completed
+            }
+            TraceKind::DeadlineCancelled { .. } => ids.c_deadline,
+            TraceKind::TokenRevoke { .. } => {
+                self.after_revoke = true;
+                ids.c_switches
+            }
+            TraceKind::TokenGrant { .. } if after_revoke => return None,
+            TraceKind::TokenGrant { .. } => ids.c_switches,
+            TraceKind::QuantumEnd { client, gpu, .. } => return self.quantum(at, client, gpu),
+            TraceKind::KernelFault { .. } => ids.c_faults_kernel,
+            TraceKind::AllocFault { .. } => ids.c_faults_alloc,
+            TraceKind::RetryScheduled { .. } => ids.c_retries,
+            TraceKind::BreakerTransition { client, shed: Some(cause), .. } => {
+                let (action, detail) = (cause.as_str(), u64::from(cause.count()));
+                self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
+                ids.c_shed
+            }
+            TraceKind::BreakerTransition { client, state: "open", .. } => {
+                let (action, detail) = ("breaker-open", 0);
+                self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
+                ids.c_breaker_open
+            }
+            TraceKind::WatchdogRevoke { client, stalled_us, .. } => {
+                let (action, detail) = ("watchdog-revoke", stalled_us);
+                self.alerts.push(Alert::FaultRecovery { at, client, action, detail });
+                ids.c_watchdog
+            }
+            TraceKind::VersionLoad { .. } => ids.c_versions_loaded,
+            TraceKind::VersionUnload { .. } => ids.c_versions_unloaded,
+            TraceKind::Evict { .. } => ids.c_versions_evicted,
+            TraceKind::WarmupRun { .. } => ids.c_warmup_runs,
+            TraceKind::Drain { .. } => ids.c_drains,
+            TraceKind::CanaryPromote { model, version, cand_us, base_us } => {
+                self.rollout(at, model, version, "promote", cand_us, base_us);
+                ids.c_promotions
+            }
+            TraceKind::CanaryRollback { model, version, cand_us, base_us } => {
+                self.rollout(at, model, version, "rollback", cand_us, base_us);
+                ids.c_rollbacks
+            }
+            TraceKind::ControlTransition { .. } => ids.c_control_transitions,
+            TraceKind::AdmissionShed { .. } => ids.c_admission_shed,
+            TraceKind::BatchShrink { .. } => ids.c_batch_shrinks,
+            TraceKind::ProfileRebind { .. } => ids.c_profile_rebinds,
+            TraceKind::LaxityCancel { .. } => ids.c_laxity_cancels,
+            TraceKind::ClusterRoute { .. } => ids.c_cluster_routes,
+            TraceKind::ClusterMigrate { .. } => ids.c_cluster_migrations,
+            TraceKind::ClusterReconfig { .. } => ids.c_cluster_reconfigs,
+            _ => return None,
+        };
+        self.registry.inc(counter, 1);
+        None
+    }
+
+    /// Binds an admitted client to its model's objective and a fresh drift
+    /// detector. Grows the per-client table — the only allocation after
+    /// construction, and only at client-arrival granularity.
+    fn bind(&mut self, client: u32) {
+        let idx = client as usize;
+        if self.clients.len() <= idx {
+            self.clients.resize(idx + 1, ClientState::UNBOUND);
+        }
+        let model = self.client_model[idx];
+        let name = &self.model_names[model as usize];
+        self.clients[idx] = ClientState {
+            model: Some(model),
+            slo: self.slo_specs.iter().position(|s| s.model == *name).map(|i| i as u32),
+            drift: self.drift_template.clone().map(DriftDetector::new),
+            gpu_ns: 0,
+            run_start: SimTime::ZERO,
+        };
+    }
+
+    /// A run completed: feeds the latency histogram, the exact run log and
+    /// the owning model's SLO window.
+    fn run_complete(&mut self, at: SimTime, client: u32) {
+        let ids = self.ids();
+        let Some(state) = self.clients.get(client as usize) else { return };
+        let latency = at - state.run_start;
+        self.registry.observe(ids.h_latency, latency.as_nanos() / 1_000);
+        self.run_log.at.push(at);
+        self.run_log.client.push(client);
+        self.run_log.latency.push(latency);
+        if let Some(slo) = state.slo {
+            let breach = latency > self.slo_specs[slo as usize].objective;
+            if breach {
+                self.registry.inc(ids.c_slo_breaches, 1);
+            }
+            self.monitors[slo as usize].observe(breach);
+        }
+    }
+
+    /// A quantum was flushed: feeds the quantum histogram, the per-client
+    /// GPU share and the streaming drift detector.
+    fn quantum(&mut self, at: SimTime, client: u32, gpu: SimDuration) -> Option<Alert> {
         let ids = self.ids();
         self.registry.observe(ids.h_quantum, gpu.as_nanos() / 1_000);
         let state = self.clients.get_mut(client as usize)?;
@@ -967,26 +785,56 @@ impl TelemetryHub {
         Some(alert)
     }
 
-    /// A run completed with the given latency at virtual time `at`: feeds
-    /// the latency histogram, the exact run log and the owning model's
-    /// SLO window.
-    pub fn on_run_complete(&mut self, client: u32, latency: SimDuration, at: SimTime) {
+    fn rollout(
+        &mut self,
+        at: SimTime,
+        model: u32,
+        version: u32,
+        action: &'static str,
+        cand_us: u64,
+        base_us: u64,
+    ) {
+        let model = self.lifecycle_models[model as usize].clone();
+        self.alerts.push(Alert::Rollout { at, model, version, action, cand_us, base_us });
+    }
+
+    /// Token hand-off latency: grant to the holder's first kernel
+    /// submission. A direct call rather than an event: its second endpoint
+    /// is a per-kernel fact the engine only records under a Full trace.
+    #[inline]
+    pub fn on_handoff(&mut self, latency: SimDuration) {
         if !self.on {
             return;
         }
         let ids = self.ids();
-        self.registry.inc(ids.c_runs_completed, 1);
-        self.registry.observe(ids.h_latency, latency.as_nanos() / 1_000);
-        self.run_log.at.push(at);
-        self.run_log.client.push(client);
-        self.run_log.latency.push(latency);
-        let Some(state) = self.clients.get(client as usize) else { return };
-        if let Some(slo) = state.slo {
-            let breach = latency > self.slo_specs[slo as usize].objective;
-            if breach {
-                self.registry.inc(ids.c_slo_breaches, 1);
-            }
-            self.monitors[slo as usize].observe(breach);
+        self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
+    }
+
+    /// The trace ring overwrote `n` events over the whole run (reported
+    /// once at finalization, before the final snapshot). A direct call: it
+    /// is a fact about the trace itself, not an event in it. A non-zero
+    /// value flags every trace-derived attribution as computed from a
+    /// truncated stream.
+    #[inline]
+    pub fn on_trace_dropped(&mut self, n: u64) {
+        if !self.on || n == 0 {
+            return;
+        }
+        let ids = self.ids();
+        self.registry.inc(ids.c_trace_dropped, n);
+    }
+
+    /// Acknowledges a burn alert on objective `slo`, resetting that
+    /// monitor's rising-edge latch so a burn that persists through the
+    /// control plane's countermeasure fires again at the next boundary.
+    /// Control feedback, not a fact: it changes what the monitor does next.
+    #[inline]
+    pub fn reset_burn_latch(&mut self, slo: u32) {
+        if !self.on {
+            return;
+        }
+        if let Some(m) = self.monitors.get_mut(slo as usize) {
+            m.reset_latch();
         }
     }
 
@@ -1082,7 +930,11 @@ impl TelemetryHub {
             counter_names: self.registry.counter_names().to_vec(),
             gauge_names: self.registry.gauge_names().to_vec(),
             hist_names: self.registry.hist_names().to_vec(),
-            client_models: self.clients.iter().map(|c| c.model.clone()).collect(),
+            client_models: self
+                .clients
+                .iter()
+                .map(|c| c.model.map_or_else(String::new, |m| self.model_names[m as usize].clone()))
+                .collect(),
             slos: self.slo_specs,
             snapshots: self.snapshots,
             alerts: self.alerts,
@@ -1094,6 +946,7 @@ impl TelemetryHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace::{ShedCause, SwitchReason};
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -1103,14 +956,32 @@ mod tests {
         SimTime::from_micros(v)
     }
 
+    fn hub(cfg: &TelemetryConfig, models: &[&str]) -> TelemetryHub {
+        TelemetryHub::new(cfg, models.iter().copied(), ["m"])
+    }
+
+    fn admit(h: &mut TelemetryHub, client: u32) {
+        h.observe(t(0), &TraceKind::ClientAdmitted { client, device: 0 });
+    }
+
+    fn quantum(h: &mut TelemetryHub, client: u32, gpu: SimDuration, at: SimTime) -> Option<Alert> {
+        h.observe(at, &TraceKind::QuantumEnd { job: 0, client, gpu })
+    }
+
+    /// One run of `client` registered at `from` and completed at `to`.
+    fn run(h: &mut TelemetryHub, client: u32, from: SimTime, to: SimTime) {
+        h.observe(from, &TraceKind::RunRegistered { job: 0, client });
+        h.observe(to, &TraceKind::RunCompleted { job: 0, client });
+    }
+
     #[test]
     fn off_hub_is_inert() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::off());
+        let mut h = hub(&TelemetryConfig::off(), &["m"]);
         assert!(!h.is_on());
         assert_eq!(h.next_due(), SimTime::MAX);
-        h.bind_client(0, "m");
-        assert_eq!(h.on_quantum(0, us(100), t(10)), None);
-        h.on_run_complete(0, us(50), t(50));
+        admit(&mut h, 0);
+        assert_eq!(quantum(&mut h, 0, us(100), t(10)), None);
+        run(&mut h, 0, t(0), t(50));
         assert!(h.tick(t(1_000_000), &EngineGauges::default()).is_empty());
         assert!(h.finalize(t(1_000_000), &EngineGauges::default()).is_empty());
         let r = h.into_report(t(1_000_000));
@@ -1120,8 +991,8 @@ mod tests {
 
     #[test]
     fn snapshot_count_matches_interval_arithmetic() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
-        h.bind_client(0, "m");
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &["m"]);
+        admit(&mut h, 0);
         let g = EngineGauges::default();
         // Events at 250µs: boundaries 100 and 200 fire.
         assert!(h.tick(t(250), &g).is_empty());
@@ -1142,7 +1013,7 @@ mod tests {
 
     #[test]
     fn exact_multiple_makespan_has_no_partial_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
         let g = EngineGauges::default();
         h.tick(t(300), &g);
         h.finalize(t(300), &g);
@@ -1153,7 +1024,7 @@ mod tests {
 
     #[test]
     fn zero_makespan_still_emits_one_snapshot() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
         h.finalize(SimTime::ZERO, &EngineGauges::default());
         let r = h.into_report(SimTime::ZERO);
         assert_eq!(r.snapshots.len(), 1);
@@ -1164,19 +1035,22 @@ mod tests {
     fn counters_histograms_and_shares_accumulate() {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_slo(SloSpec::new("m", us(500), 0.1));
-        let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, "m");
-        h.bind_client(1, "other");
-        h.on_run_start();
-        h.on_token_switch();
+        let mut h = hub(&cfg, &["m", "other", "m"]);
+        admit(&mut h, 0);
+        admit(&mut h, 1);
+        h.observe(
+            t(10),
+            &TraceKind::TokenGrant { job: 0, client: Some(0), reason: SwitchReason::Register },
+        );
         h.on_handoff(us(80));
-        assert!(h.on_quantum(0, us(200), t(50)).is_none(), "no drift config");
-        h.on_quantum(1, us(100), t(60));
-        h.on_run_complete(0, us(700), t(700)); // breach of the 500µs objective
-        h.on_run_complete(1, us(100), t(800)); // no SLO bound to "other"
+        assert!(quantum(&mut h, 0, us(200), t(50)).is_none(), "no drift config");
+        quantum(&mut h, 1, us(100), t(60));
+        run(&mut h, 0, t(0), t(700)); // breach of the 500µs objective
+        run(&mut h, 1, t(700), t(800)); // no SLO bound to "other"
         h.finalize(t(90), &EngineGauges { queue_depth: 2, ..Default::default() });
         let r = h.into_report(t(90));
         assert_eq!(r.counter("clients_admitted"), Some(2));
+        assert_eq!(r.counter("runs_started"), Some(2));
         assert_eq!(r.counter("runs_completed"), Some(2));
         assert_eq!(r.counter("slo_breaches"), Some(1));
         assert_eq!(r.counter("token_switches"), Some(1));
@@ -1187,7 +1061,83 @@ mod tests {
         assert_eq!(last.client_gpu_ns, vec![200_000, 100_000]);
         let qd = r.gauge_names.iter().position(|n| *n == "admission_queue_depth").unwrap();
         assert_eq!(last.gauges[qd], 2.0);
+        // Client 2 was never admitted: the table stops at client 1.
         assert_eq!(r.client_models, vec!["m".to_string(), "other".to_string()]);
+        let lat: Vec<SimDuration> = r.run_log.latency.clone();
+        assert_eq!(lat, vec![us(700), us(100)]);
+    }
+
+    #[test]
+    fn a_revoke_grant_pair_is_one_token_switch() {
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
+        let reason = SwitchReason::QuantumExpired;
+        let revoke = TraceKind::TokenRevoke { job: 1, client: Some(0), reason };
+        let grant = TraceKind::TokenGrant { job: 2, client: Some(1), reason };
+        // Moved { Some, Some }, then Moved { Some, None }, then
+        // Moved { None, Some }: three moves, four events.
+        h.observe(t(1), &revoke);
+        h.observe(t(1), &grant);
+        h.observe(t(2), &revoke);
+        h.observe(t(3), &TraceKind::ClientFinished { client: 0 });
+        h.observe(t(3), &grant);
+        h.finalize(t(5), &EngineGauges::default());
+        assert_eq!(h.into_report(t(5)).counter("token_switches"), Some(3));
+    }
+
+    #[test]
+    fn unadmitted_gaps_report_empty_model_names() {
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &["a", "b", "c"]);
+        admit(&mut h, 2);
+        h.finalize(t(5), &EngineGauges::default());
+        let r = h.into_report(t(5));
+        assert_eq!(r.client_models, vec![String::new(), String::new(), "c".to_string()]);
+    }
+
+    #[test]
+    fn fault_and_rollout_events_land_on_the_alert_stream() {
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
+        let open = TraceKind::BreakerTransition { client: 3, state: "open", shed: None };
+        let probe = TraceKind::BreakerTransition { client: 3, state: "half-open", shed: None };
+        let shed = TraceKind::BreakerTransition {
+            client: 3,
+            state: "shed",
+            shed: Some(ShedCause::CircuitOpen(2)),
+        };
+        h.observe(t(1), &open);
+        h.observe(t(2), &probe);
+        h.observe(t(3), &shed);
+        h.observe(t(4), &TraceKind::WatchdogRevoke { job: 1, client: 0, stalled_us: 900 });
+        h.observe(
+            t(5),
+            &TraceKind::CanaryRollback { model: 0, version: 2, cand_us: 40, base_us: 30 },
+        );
+        h.finalize(t(6), &EngineGauges::default());
+        let r = h.into_report(t(6));
+        assert_eq!(r.counter("breaker_open_events"), Some(1));
+        assert_eq!(r.counter("clients_shed"), Some(1));
+        assert_eq!(r.counter("watchdog_revocations"), Some(1));
+        assert_eq!(r.counter("canary_rollbacks"), Some(1));
+        assert_eq!(
+            r.alerts,
+            vec![
+                Alert::FaultRecovery { at: t(1), client: 3, action: "breaker-open", detail: 0 },
+                Alert::FaultRecovery { at: t(3), client: 3, action: "circuit-open", detail: 2 },
+                Alert::FaultRecovery {
+                    at: t(4),
+                    client: 0,
+                    action: "watchdog-revoke",
+                    detail: 900
+                },
+                Alert::Rollout {
+                    at: t(5),
+                    model: "m".to_string(),
+                    version: 2,
+                    action: "rollback",
+                    cand_us: 40,
+                    base_us: 30
+                },
+            ]
+        );
     }
 
     #[test]
@@ -1196,17 +1146,17 @@ mod tests {
             .with_slo(SloSpec::new("m", us(100), 0.1))
             .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 })
             .with_drift(DriftConfig::new(us(200), 0.1));
-        let mut h = TelemetryHub::new(&cfg);
-        h.bind_client(0, "m");
+        let mut h = hub(&cfg, &["m"]);
+        admit(&mut h, 0);
         let g = EngineGauges::default();
         let mut drift_alerts = 0;
         for i in 0..10u64 {
             // Quanta 50% over target: drift fires once warm.
-            if h.on_quantum(0, us(300), t(i * 50 + 10)).is_some() {
+            if quantum(&mut h, 0, us(300), t(i * 50 + 10)).is_some() {
                 drift_alerts += 1;
             }
             // Every run breaches the 100µs objective.
-            h.on_run_complete(0, us(400), t(400));
+            run(&mut h, 0, t(0), t(400));
             h.tick(t((i + 1) * 50), &g);
         }
         h.finalize(t(500), &g);
@@ -1222,7 +1172,7 @@ mod tests {
 
     #[test]
     fn trace_drop_count_lands_in_the_registry() {
-        let mut h = TelemetryHub::new(&TelemetryConfig::enabled(us(100)));
+        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
         h.on_trace_dropped(0);
         h.on_trace_dropped(7);
         h.finalize(t(50), &EngineGauges::default());
@@ -1234,7 +1184,7 @@ mod tests {
     fn batch_plan_seeds_the_registry() {
         let cfg = TelemetryConfig::enabled(us(100))
             .with_batches(vec![(4, us(120)), (2, us(30))]);
-        let mut h = TelemetryHub::new(&cfg);
+        let mut h = hub(&cfg, &[]);
         h.finalize(t(50), &EngineGauges::default());
         let r = h.into_report(t(50));
         assert_eq!(r.counter("batches_planned"), Some(2));

@@ -223,7 +223,7 @@ pub fn chrome_trace(trace: &Trace, meta: &TraceMeta) -> Value {
                 rows.push(row(u64::from(client), e.at.as_nanos(), None,
                     "retry-scheduled".into(), "recovery", args));
             }
-            TraceKind::BreakerTransition { client, state } => {
+            TraceKind::BreakerTransition { client, state, .. } => {
                 rows.push(row(u64::from(client), e.at.as_nanos(), None,
                     format!("breaker-{state}"), "recovery", Vec::new()));
             }
@@ -272,7 +272,7 @@ pub fn chrome_trace(trace: &Trace, meta: &TraceMeta) -> Value {
                         ("bytes".into(), Value::UInt(bytes)),
                     ]));
             }
-            TraceKind::CanaryPromote { model, version } => {
+            TraceKind::CanaryPromote { model, version, .. } => {
                 rows.push(row(scheduler_tid, e.at.as_nanos(), None,
                     "canary-promote".into(), "rollout",
                     vec![
@@ -280,7 +280,7 @@ pub fn chrome_trace(trace: &Trace, meta: &TraceMeta) -> Value {
                         ("version".into(), Value::UInt(u64::from(version))),
                     ]));
             }
-            TraceKind::CanaryRollback { model, version } => {
+            TraceKind::CanaryRollback { model, version, .. } => {
                 rows.push(row(scheduler_tid, e.at.as_nanos(), None,
                     "canary-rollback".into(), "rollout",
                     vec![
@@ -295,6 +295,15 @@ pub fn chrome_trace(trace: &Trace, meta: &TraceMeta) -> Value {
                         ("model".into(), Value::UInt(u64::from(model))),
                         ("version".into(), Value::UInt(u64::from(version))),
                         ("inflight".into(), Value::UInt(u64::from(inflight))),
+                    ]));
+            }
+            TraceKind::VersionUnload { model, version, bytes } => {
+                rows.push(row(scheduler_tid, e.at.as_nanos(), None,
+                    "version-unload".into(), "residency",
+                    vec![
+                        ("model".into(), Value::UInt(u64::from(model))),
+                        ("version".into(), Value::UInt(u64::from(version))),
+                        ("bytes".into(), Value::UInt(bytes)),
                     ]));
             }
             TraceKind::ControlTransition { from, to } => {

@@ -130,6 +130,33 @@ impl fmt::Display for SwitchReason {
     }
 }
 
+/// Which recovery budget ran out when a client was shed (carried on the
+/// `"shed"` [`TraceKind::BreakerTransition`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShedCause {
+    /// The retry budget was spent after this many attempts.
+    RetriesExhausted(u32),
+    /// The circuit breaker's trip budget was spent after this many trips.
+    CircuitOpen(u32),
+}
+
+impl ShedCause {
+    /// Stable kebab-case label, as on the `fault-recovery` alert stream.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShedCause::RetriesExhausted(_) => "retries-exhausted",
+            ShedCause::CircuitOpen(_) => "circuit-open",
+        }
+    }
+
+    /// The spent budget: attempts or trips.
+    pub fn count(self) -> u32 {
+        match self {
+            ShedCause::RetriesExhausted(n) | ShedCause::CircuitOpen(n) => n,
+        }
+    }
+}
+
 /// What happened. Ids are raw (`u64` job, `u32` client/device/node) so this
 /// crate sits below the serving layer without a dependency cycle.
 #[non_exhaustive]
@@ -361,8 +388,11 @@ pub enum TraceKind {
     BreakerTransition {
         /// The client the breaker guards.
         client: u32,
-        /// New breaker state, kebab-case ("closed"/"open"/"half-open").
+        /// New breaker state, kebab-case ("closed"/"open"/"half-open"), or
+        /// "shed" when the recovery layer gave up on the client.
         state: &'static str,
+        /// Why a `"shed"` client was shed; `None` for breaker states.
+        shed: Option<ShedCause>,
     },
     /// The token-hold watchdog revoked the token from a stalled holder;
     /// the stall is charged to the holder like an overflow kernel.
@@ -418,6 +448,10 @@ pub enum TraceKind {
         model: u32,
         /// The promoted version number (1-based).
         version: u32,
+        /// Candidate mean run latency, µs.
+        cand_us: u64,
+        /// Incumbent mean run latency, µs.
+        base_us: u64,
     },
     /// A canary candidate was rolled back (lifecycle layer).
     CanaryRollback {
@@ -425,10 +459,13 @@ pub enum TraceKind {
         model: u32,
         /// The rejected version number (1-based).
         version: u32,
+        /// Candidate mean run latency, µs (0 when superseded undecided).
+        cand_us: u64,
+        /// Incumbent mean run latency, µs (0 when superseded undecided).
+        base_us: u64,
     },
-    /// A version stopped accepting new runs and started draining; when it
-    /// later unloads the engine records a second `Drain` with
-    /// `inflight == 0` (lifecycle layer).
+    /// A version stopped accepting new runs and started draining; it
+    /// unloads once the last in-flight run finishes (lifecycle layer).
     Drain {
         /// Deployment index in the lifecycle plan.
         model: u32,
@@ -436,6 +473,15 @@ pub enum TraceKind {
         version: u32,
         /// Runs still in flight at this instant.
         inflight: u32,
+    },
+    /// A drained version's weights were freed (lifecycle layer).
+    VersionUnload {
+        /// Deployment index in the lifecycle plan.
+        model: u32,
+        /// Version number (1-based).
+        version: u32,
+        /// Weight bytes freed.
+        bytes: u64,
     },
     /// The control plane's degradation ladder changed rungs (control
     /// layer).
@@ -511,6 +557,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Whether this is one of the per-kernel (Full-mode-only) events.
+    #[inline]
     pub fn is_kernel(&self) -> bool {
         matches!(
             self,
@@ -594,6 +641,7 @@ impl TraceKind {
             | TraceKind::CanaryPromote { .. }
             | TraceKind::CanaryRollback { .. }
             | TraceKind::Drain { .. }
+            | TraceKind::VersionUnload { .. }
             | TraceKind::ControlTransition { .. }
             | TraceKind::ClusterReconfig { .. } => {}
         }
@@ -638,6 +686,7 @@ impl TraceKind {
             | TraceKind::CanaryPromote { .. }
             | TraceKind::CanaryRollback { .. }
             | TraceKind::Drain { .. }
+            | TraceKind::VersionUnload { .. }
             | TraceKind::ControlTransition { .. }
             | TraceKind::ClusterMigrate { .. }
             | TraceKind::ClusterReconfig { .. } => None,
@@ -747,7 +796,7 @@ impl fmt::Display for TraceEvent {
                     )
                 }
             }
-            TraceKind::BreakerTransition { client, state } => {
+            TraceKind::BreakerTransition { client, state, .. } => {
                 write!(f, "breaker {state} client{client}")
             }
             TraceKind::WatchdogRevoke { job, client, stalled_us } => write!(
@@ -766,14 +815,17 @@ impl fmt::Display for TraceEvent {
             TraceKind::Evict { model, version, bytes } => {
                 write!(f, "evict m{model}@v{version} ({bytes} B)")
             }
-            TraceKind::CanaryPromote { model, version } => {
+            TraceKind::CanaryPromote { model, version, .. } => {
                 write!(f, "canary promote m{model}@v{version}")
             }
-            TraceKind::CanaryRollback { model, version } => {
+            TraceKind::CanaryRollback { model, version, .. } => {
                 write!(f, "canary rollback m{model}@v{version}")
             }
             TraceKind::Drain { model, version, inflight } => {
                 write!(f, "drain m{model}@v{version} ({inflight} in flight)")
+            }
+            TraceKind::VersionUnload { model, version, bytes } => {
+                write!(f, "version unload m{model}@v{version} ({bytes} B)")
             }
             TraceKind::ControlTransition { from, to } => {
                 write!(f, "control transition {from} -> {to}")
@@ -1150,6 +1202,28 @@ mod tests {
         let mut rc = TraceKind::ClusterReconfig { loads: 2, drains: 1 };
         rc.remap_ids(&|c| c + 1, &|d| d + 1, &|j| j + 1);
         assert_eq!(rc, TraceKind::ClusterReconfig { loads: 2, drains: 1 });
+    }
+
+    #[test]
+    fn lifecycle_payloads_stay_off_the_rendered_line() {
+        let shed = TraceKind::BreakerTransition {
+            client: 3,
+            state: "shed",
+            shed: Some(ShedCause::CircuitOpen(2)),
+        };
+        let e = TraceEvent { seq: 0, at: SimTime::from_micros(7), kind: shed };
+        assert_eq!(e.to_string(), "[0.000007s] breaker shed client3");
+        assert_eq!(ShedCause::CircuitOpen(2).as_str(), "circuit-open");
+        assert_eq!(ShedCause::RetriesExhausted(5).count(), 5);
+        let promote = TraceKind::CanaryPromote { model: 1, version: 2, cand_us: 90, base_us: 100 };
+        let e = TraceEvent { seq: 1, at: SimTime::from_micros(8), kind: promote };
+        assert_eq!(e.to_string(), "[0.000008s] canary promote m1@v2");
+        let mut unload = TraceKind::VersionUnload { model: 1, version: 1, bytes: 4096 };
+        let e = TraceEvent { seq: 2, at: SimTime::from_micros(9), kind: unload };
+        assert_eq!(e.to_string(), "[0.000009s] version unload m1@v1 (4096 B)");
+        assert_eq!(unload.client(), None);
+        unload.remap_ids(&|c| c + 1, &|d| d + 1, &|j| j + 1);
+        assert_eq!(unload, TraceKind::VersionUnload { model: 1, version: 1, bytes: 4096 });
     }
 
     #[test]

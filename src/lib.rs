@@ -9,7 +9,6 @@
 //! The interesting code lives in the member crates:
 //!
 //! * [`simtime`] — virtual clock and discrete-event machinery
-//! * [`tensor`] — tensor shapes and memory sizing
 //! * [`dataflow`] — dataflow graphs and the cost-model API
 //! * [`models`] — the calibrated 7-model DNN zoo
 //! * [`gpusim`] — the simulated GPU device and driver
@@ -25,5 +24,4 @@ pub use models;
 pub use olympian;
 pub use serving;
 pub use simtime;
-pub use tensor;
 pub use trace;

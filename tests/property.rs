@@ -9,19 +9,20 @@ use dataflow::{GraphBuilder, NodeTemplate, OpKind};
 use metrics::linear_fit;
 use olympian::{Policy, Priority, RoundRobin, WeightedFair};
 use serving::JobId;
-use simtime::{DetRng, EventQueue, IntervalUnion, SimDuration, SimTime};
+use simtime::{BaselineEventQueue, DetRng, IntervalUnion, SimDuration, SimTime};
 
 /// Number of random cases per property.
 const CASES: u64 = 48;
 
-/// The event queue pops in non-decreasing time order with FIFO ties.
+/// The oracle event queue pops in non-decreasing time order with FIFO ties
+/// (the timing-wheel properties below check the wheel against it).
 #[test]
 fn event_queue_total_order() {
     for case in 0..CASES {
         let mut rng = DetRng::new(0xE0E0 ^ case);
         let n = rng.range_u64(1, 200) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 1_000)).collect();
-        let mut q = EventQueue::new();
+        let mut q = BaselineEventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_nanos(t), (t, i));
         }
