@@ -273,11 +273,6 @@ impl LifecycleManager {
         }
     }
 
-    /// True when `model` is one of the deployments this manager owns.
-    pub fn manages(&self, model: &str) -> bool {
-        self.by_name.contains_key(model)
-    }
-
     /// The versioned profile/trace name, `"{name}@v{version}"`.
     pub fn versioned_name(&self, key: VersionKey) -> &str {
         &self.vnames[key.model as usize][key.version as usize - 1]
@@ -412,19 +407,24 @@ impl LifecycleManager {
         }
     }
 
-    /// Routes one new run of `model` for `client`. Either issues a version
-    /// (serving version, or the canary candidate for every `stride`-th run
-    /// while a canary is active) or parks the client until a version
-    /// starts serving, kicking off the aspired version's load if needed.
+    /// Routes one new run of deployment `mi` (see
+    /// [`model_index`](Self::model_index)) for `client`. Either issues a
+    /// version (serving version, or the canary candidate for every
+    /// `stride`-th run while a canary is active) or parks the client until
+    /// a version starts serving, kicking off the aspired version's load if
+    /// needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mi` is not a deployment index of this plan.
     pub fn route(
         &mut self,
-        model: &str,
+        mi: usize,
         client: u32,
         now: SimTime,
         pool: &mut MemoryPool,
         fx: &mut Effects,
     ) -> Route {
-        let mi = *self.by_name.get(model).expect("route for unmanaged model");
         if let Some(s) = self.models[mi].serving {
             // Demand can return while the replica drains: the weights are
             // still resident (they free only at unload), so serving this
@@ -470,16 +470,15 @@ impl LifecycleManager {
     ///
     /// # Panics
     ///
-    /// Panics if `model` is not managed by this deployment plan.
+    /// Panics if `mi` is not a deployment index of this plan.
     pub fn route_cheapest(
         &mut self,
-        model: &str,
+        mi: usize,
         client: u32,
         now: SimTime,
         pool: &mut MemoryPool,
         fx: &mut Effects,
     ) -> Route {
-        let mi = *self.by_name.get(model).expect("route for unmanaged model");
         let pick = self.models[mi]
             .versions
             .iter()
@@ -488,7 +487,7 @@ impl LifecycleManager {
             .min_by_key(|(i, v)| (v.model.graph().total_gpu_time(), *i))
             .map(|(i, _)| i);
         let Some(pick) = pick else {
-            return self.route(model, client, now, pool, fx);
+            return self.route(mi, client, now, pool, fx);
         };
         let v = &mut self.models[mi].versions[pick];
         v.inflight += 1;
@@ -955,7 +954,7 @@ impl LifecycleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeploymentPlan, ModelDeployment};
+    use crate::{CanaryConfig, DeploymentPlan, ModelDeployment};
     use std::collections::BTreeSet;
 
     fn renamed(name: &str, m: LoadedModel) -> LoadedModel {
@@ -1027,8 +1026,19 @@ mod tests {
         }
 
         fn route(&mut self, model: &str, client: u32) -> Route {
+            let mi = self.mgr.model_index(model).expect("managed");
             let mut fx = Effects::default();
-            let r = self.mgr.route(model, client, self.now, &mut self.pool, &mut fx);
+            let r = self.mgr.route(mi, client, self.now, &mut self.pool, &mut fx);
+            self.absorb(fx);
+            r
+        }
+
+        fn route_cheapest(&mut self, model: &str, client: u32) -> Route {
+            let mi = self.mgr.model_index(model).expect("managed");
+            let mut fx = Effects::default();
+            let r = self
+                .mgr
+                .route_cheapest(mi, client, self.now, &mut self.pool, &mut fx);
             self.absorb(fx);
             r
         }
@@ -1399,6 +1409,70 @@ mod tests {
             e,
             LifecycleEvent::Unloaded { key: VersionKey { model: 0, version: 1 }, .. }
         )));
+    }
+
+    /// `svc` with `v1` published at zero and `v2` at 10 ms, both Serving:
+    /// the canary split is live but never decides (`min_runs` is out of
+    /// reach).
+    fn two_serving(v1: LoadedModel, v2: LoadedModel) -> Sim {
+        let plan = DeploymentPlan::new().with_model(
+            ModelDeployment::new("svc", renamed("svc", v1))
+                .with_version(renamed("svc", v2), SimTime::from_millis(10)),
+        );
+        let cfg = LifecycleConfig::new(plan)
+            .with_warmup_runs(0)
+            .with_canary(CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 });
+        let mut sim = Sim::new(cfg, 1 << 30);
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.route("svc", 0), Route::Wait);
+        sim.drain_ticks();
+        for version in [1, 2] {
+            assert_eq!(sim.mgr.state(VersionKey { model: 0, version }), VersionState::Serving);
+        }
+        sim
+    }
+
+    #[test]
+    fn route_cheapest_picks_the_serving_version_with_least_gpu_time() {
+        let (v1, v2) = (VersionKey { model: 0, version: 1 }, VersionKey { model: 0, version: 2 });
+        // A light candidate wins over the heavy incumbent on every route,
+        // where the canary split would send every other run to v1.
+        let mut sim = two_serving(models::mini::small(4), models::mini::tiny(4));
+        for client in 0..4 {
+            assert_eq!(sim.route_cheapest("svc", client), Route::Issue(v2));
+        }
+        // The issues are real in-flight runs: each completion is accepted.
+        for _ in 0..4 {
+            sim.finish(v2, SimDuration::from_micros(50));
+        }
+        // A heavy candidate loses to the light incumbent.
+        let mut sim = two_serving(models::mini::tiny(4), models::mini::small(4));
+        assert_eq!(sim.route_cheapest("svc", 0), Route::Issue(v1));
+    }
+
+    #[test]
+    fn route_cheapest_breaks_ties_to_the_lower_version() {
+        let mut sim = two_serving(models::mini::tiny(4), models::mini::tiny(4));
+        for client in 0..3 {
+            assert_eq!(
+                sim.route_cheapest("svc", client),
+                Route::Issue(VersionKey { model: 0, version: 1 })
+            );
+        }
+    }
+
+    #[test]
+    fn route_cheapest_falls_back_to_route_when_nothing_serves() {
+        let mut sim = Sim::new(LifecycleConfig::new(one_model_plan()), 64 << 20);
+        sim.run_until(SimTime::ZERO);
+        let key = VersionKey { model: 0, version: 1 };
+        // Like `route`: the client parks and the aspired version's load
+        // begins.
+        assert_eq!(sim.route_cheapest("svc", 0), Route::Wait);
+        assert_eq!(sim.mgr.state(key), VersionState::Loading);
+        sim.drain_ticks();
+        assert_eq!(sim.woken, vec![0]);
+        assert_eq!(sim.route_cheapest("svc", 0), Route::Issue(key));
     }
 
     #[test]

@@ -114,16 +114,6 @@ impl FaultRuntime {
     }
 }
 
-/// Live model-lifecycle state for one run: the manager plus the
-/// job → version map that attributes each completion to the version it
-/// was issued against. Held in an `Option` so the unmanaged hot path pays
-/// one predicted branch per hook.
-struct LifecycleRuntime {
-    mgr: LifecycleManager,
-    /// Versions of in-flight jobs, keyed by `JobId.0`.
-    job_versions: HashMap<u64, VersionKey>,
-}
-
 /// Live control-plane state for one run: the static configuration plus the
 /// degradation-ladder state machine. Held in an `Option` so the
 /// uncontrolled hot path pays one predicted branch per hook.
@@ -132,19 +122,29 @@ struct ControlRuntime {
     machine: controlplane::DegradeMachine,
 }
 
-/// Live fleet-orchestration state for one run: one lifecycle manager per
-/// device, the router's per-device drain estimates, and the demand window
-/// the reconfiguration tick solves over. Held in an `Option` so the
-/// single-pool hot path pays one predicted branch per hook.
-struct ClusterRuntime {
-    cfg: cluster::ClusterConfig,
+/// Live model-residency state for one run: one lifecycle manager per
+/// device — exactly one under `with_lifecycle`, one per fleet member under
+/// `with_cluster` — plus the router, which exists in fleet mode only.
+/// Lifecycle mode is a one-device fleet without a router: every managed
+/// run takes the same path (pick a device, route on its manager, report
+/// the completion back to it). Held in an `Option` so the unmanaged hot
+/// path pays one predicted branch per hook.
+struct ResidencyRuntime {
     /// One manager per device, indexed like `Engine::devices`. Every
-    /// manager holds the same deployment plan, so version keys and model
-    /// indices agree across devices; residency is per device.
+    /// manager holds the same deployment plan, so version keys and
+    /// deployment indices agree across devices; residency is per device.
     managers: Vec<LifecycleManager>,
-    /// In-flight routed jobs, keyed by `JobId.0`:
-    /// `(device, version, estimated execute ns)`.
-    job_routes: HashMap<u64, (u32, VersionKey, u64)>,
+    fleet: Option<FleetRouter>,
+}
+
+/// The fleet-only part of [`ResidencyRuntime`]: the router's per-device
+/// drain estimates and the demand window the reconfiguration tick solves
+/// over.
+struct FleetRouter {
+    policy: cluster::RouterPolicy,
+    /// Reconfiguration cadence — the `ClusterTick` period.
+    tick: SimDuration,
+    cost: Option<Arc<dyn controlplane::CostOracle>>,
     /// Lifecycle-parked clients: `client -> (device, estimated ns)`. The
     /// estimate is charged to the device's queue while the client waits
     /// for a load, and returned when it is woken and re-routed.
@@ -161,17 +161,10 @@ struct ClusterRuntime {
     speed: Vec<f64>,
 }
 
-/// Outcome of the fleet router for one arriving run.
-enum FleetRoute {
-    /// Issue against this version; the estimate is the routed device's
-    /// execute ns, charged to its queue until the run finishes.
-    Issue(VersionKey, u64),
-    /// Parked inside the routed device's manager until a load completes.
-    Wait,
-    /// The model is not in the cluster's deployment plan; fall through to
-    /// the unmanaged admission path.
-    Unmanaged,
-}
+/// Where a managed run was issued: `(device, version, estimated execute
+/// ns)`. The estimate is what the fleet router charged to the device's
+/// queue until the run finishes (0 outside fleet mode).
+type Issued = (u32, VersionKey, u64);
 
 /// Hot half of a job slot: every field the per-node dispatch and
 /// completion paths read or write. Kept in its own dense table
@@ -215,6 +208,8 @@ struct JobCold {
     /// Registration time — the baseline of the run's deadline and of the
     /// latency reported to the lifecycle layer.
     started_at: SimTime,
+    /// Where a managed run was issued; `None` for unmanaged runs.
+    issued: Option<Issued>,
 }
 
 impl JobHot {
@@ -273,6 +268,7 @@ impl JobCold {
             graph,
             quanta: Vec::with_capacity(QUANTA_CAPACITY),
             started_at: SimTime::ZERO,
+            issued: None,
         }
     }
 
@@ -281,6 +277,7 @@ impl JobCold {
         self.graph = graph;
         self.quanta.clear();
         self.started_at = SimTime::ZERO;
+        self.issued = None;
     }
 }
 
@@ -302,6 +299,9 @@ enum JobRef {
 #[derive(Debug)]
 struct ClientState {
     spec: ClientSpec,
+    /// Deployment index of the client's model in the residency plan,
+    /// resolved once at build time; `None` for unmanaged models.
+    deployment: Option<u32>,
     outcome: Option<ClientOutcome>,
     batches_done: u32,
     current_job: Option<JobId>,
@@ -355,9 +355,8 @@ pub(crate) struct Engine<'a> {
     /// calling across the crate boundary.
     telemetry_due: SimTime,
     faults: Option<FaultRuntime>,
-    lifecycle: Option<LifecycleRuntime>,
+    residency: Option<ResidencyRuntime>,
     control: Option<ControlRuntime>,
-    cluster: Option<ClusterRuntime>,
     trace: TraceBuffer,
     telemetry: TelemetryHub,
     intervals: Vec<SimDuration>,
@@ -404,11 +403,12 @@ pub(crate) fn build_engine<'a>(
         spec.validate();
     }
     let mut master_rng = DetRng::new(cfg.seed);
-    let client_states: Vec<ClientState> = clients
+    let mut client_states: Vec<ClientState> = clients
         .into_iter()
         .enumerate()
         .map(|(i, spec)| ClientState {
             spec,
+            deployment: None,
             outcome: None,
             batches_done: 0,
             current_job: None,
@@ -439,43 +439,52 @@ pub(crate) fn build_engine<'a>(
         .faults
         .as_ref()
         .map(|f| FaultRuntime::new(f, cfg.seed, client_states.len(), devices.len()));
-    let lifecycle = cfg.lifecycle.as_ref().map(|lc| LifecycleRuntime {
-        mgr: LifecycleManager::new(lc, memories[0].capacity())
-            .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}")),
-        job_versions: HashMap::new(),
-    });
     let control = cfg.control.as_ref().map(|c| ControlRuntime {
         cfg: c.clone(),
         machine: c.machine(),
     });
-    let cluster_rt = cfg.cluster.as_ref().map(|cc| {
+    // One manager per device. `validate` makes the two modes exclusive and
+    // keeps lifecycle mode on one device, so `memories` has exactly one
+    // pool there.
+    let plan = match (&cfg.lifecycle, &cfg.cluster) {
+        (Some(lc), _) => Some((lc, None)),
+        (None, Some(cc)) => Some((&cc.lifecycle, Some(cc))),
+        (None, None) => None,
+    };
+    let residency = plan.map(|(lc, fleet)| {
         let managers: Vec<LifecycleManager> = memories
             .iter()
             .map(|m| {
-                LifecycleManager::new(&cc.lifecycle, m.capacity())
-                    .unwrap_or_else(|e| panic!("invalid cluster lifecycle config: {e}"))
+                LifecycleManager::new(lc, m.capacity())
+                    .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
             })
             .collect();
         let n_models = managers[0].model_count();
-        ClusterRuntime {
-            cfg: cc.clone(),
-            job_routes: HashMap::new(),
-            parked: HashMap::new(),
-            outstanding_ns: vec![0; managers.len()],
-            window_demand: vec![0; n_models],
-            exec_est: vec![0; n_models],
-            speed: profiles.iter().map(|p| p.speed_factor()).collect(),
+        ResidencyRuntime {
+            fleet: fleet.map(|cc| FleetRouter {
+                policy: cc.policy,
+                tick: cc.tick,
+                cost: cc.cost.clone(),
+                parked: HashMap::new(),
+                outstanding_ns: vec![0; managers.len()],
+                window_demand: vec![0; n_models],
+                exec_est: vec![0; n_models],
+                speed: profiles.iter().map(|p| p.speed_factor()).collect(),
+            }),
             managers,
         }
     });
-    let deployments = lifecycle
-        .as_ref()
-        .map(|rt| &rt.mgr)
-        .or_else(|| cluster_rt.as_ref().map(|rt| &rt.managers[0]));
+    if let Some(rt) = &residency {
+        for client in &mut client_states {
+            client.deployment = rt.managers[0]
+                .model_index(client.spec.model.name())
+                .map(|mi| mi as u32);
+        }
+    }
     let telemetry = TelemetryHub::new(
         &cfg.telemetry,
         client_states.iter().map(|c| c.spec.model.name()),
-        deployments.into_iter().flat_map(LifecycleManager::model_names),
+        residency.iter().flat_map(|rt| rt.managers[0].model_names()),
     );
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
@@ -500,9 +509,8 @@ pub(crate) fn build_engine<'a>(
         last_switch: None,
         telemetry_due,
         faults,
-        lifecycle,
+        residency,
         control,
-        cluster: cluster_rt,
         trace: TraceBuffer::new(&cfg.trace),
         telemetry,
         intervals: Vec::with_capacity(256),
@@ -511,14 +519,11 @@ pub(crate) fn build_engine<'a>(
         event_count: 0,
     };
     // Schedule a lifecycle tick at every publish instant before any client
-    // starts, so version state is current at admission time.
+    // starts, so version state is current at admission time. Publish
+    // schedules are identical on every device's manager, so one manager's
+    // startup ticks cover the whole fleet.
     let mut startup_fx = LcEffects::default();
-    if let Some(rt) = &engine.lifecycle {
-        rt.mgr.startup(&mut startup_fx);
-    }
-    if let Some(rt) = &engine.cluster {
-        // Publish schedules are identical on every device's manager, so
-        // one manager's startup ticks cover the whole fleet.
+    if let Some(rt) = &engine.residency {
         rt.managers[0].startup(&mut startup_fx);
     }
     engine.apply_lifecycle_effects(startup_fx);
@@ -531,12 +536,8 @@ pub(crate) fn build_engine<'a>(
             .queue
             .schedule(SimTime::ZERO + rt.cfg.tick, Event::ControlTick);
     }
-    if let Some(rt) = &engine.cluster {
-        if rt.cfg.reconfigure {
-            engine
-                .queue
-                .schedule(SimTime::ZERO + rt.cfg.tick, Event::ClusterTick);
-        }
+    if let Some(cc) = cfg.cluster.as_ref().filter(|cc| cc.reconfigure) {
+        engine.queue.schedule(SimTime::ZERO + cc.tick, Event::ClusterTick);
     }
     engine
 }
@@ -687,7 +688,7 @@ impl Engine<'_> {
             self.settle(c, ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let client = &mut self.clients[c.0 as usize];
         client.gang_limit = if cfg.min_effective_gang == cfg.max_gang {
             cfg.max_gang
@@ -732,14 +733,14 @@ impl Engine<'_> {
             // A retry (or a terminal shed) is already arranged.
             return false;
         }
-        let model = &self.clients[c.0 as usize].spec.model;
+        let client = &self.clients[c.0 as usize];
+        let model = &client.spec.model;
         let name = model.name();
         let activation_bytes = model.activation_bytes();
         // A lifecycle-managed model's weights are owned by the manager
         // (loaded per version, on demand); admission reserves only the
         // client's activations.
-        let managed = self.lifecycle.as_ref().is_some_and(|rt| rt.mgr.manages(name))
-            || self.cluster.as_ref().is_some_and(|rt| rt.managers[0].manages(name));
+        let managed = client.deployment.is_some();
         // Unmanaged weights are loaded once per device and shared across
         // clients of the same model (TF-Serving's servable sharing).
         let loaded = &mut self.weights_loaded[dev as usize];
@@ -888,79 +889,25 @@ impl Engine<'_> {
     }
 
     fn start_run(&mut self, c: ClientId) {
-        // Lifecycle routing: resolve the model's serving version at issue
-        // time. `Wait` parks the client inside the manager; it is woken
-        // (via `Effects::wake`) once a version starts serving.
-        let mut routed: Option<VersionKey> = None;
-        // Execute estimate of a cluster-routed run, charged to the routed
-        // device's queue until the run finishes.
-        let mut routed_est: u64 = 0;
-        if self.cluster.is_some() {
-            match self.cluster_route(c) {
-                FleetRoute::Issue(key, est) => {
-                    routed = Some(key);
-                    routed_est = est;
-                }
-                FleetRoute::Wait => return,
-                FleetRoute::Unmanaged => {}
-            }
-        } else if self.lifecycle.is_some() {
-            let managed = {
-                let name = self.clients[c.0 as usize].spec.model.name();
-                self.lifecycle.as_ref().unwrap().mgr.manages(name)
-            };
-            if managed {
-                let mut fx = LcEffects::default();
-                // Past Healthy, clients of a managed model are resolved to
-                // its cheapest resident version — trading answer fidelity
-                // for GPU time while the ladder is elevated.
-                let degraded = self.control.as_ref().is_some_and(|rt| {
-                    rt.machine.state() != controlplane::DegradeState::Healthy
-                });
-                let route = {
-                    let client = &self.clients[c.0 as usize];
-                    let rt = self.lifecycle.as_mut().unwrap();
-                    if degraded {
-                        rt.mgr.route_cheapest(
-                            client.spec.model.name(),
-                            c.0,
-                            self.now,
-                            &mut self.memories[0],
-                            &mut fx,
-                        )
-                    } else {
-                        rt.mgr.route(
-                            client.spec.model.name(),
-                            c.0,
-                            self.now,
-                            &mut self.memories[0],
-                            &mut fx,
-                        )
-                    }
-                };
-                self.apply_lifecycle_effects(fx);
-                match route {
-                    Route::Wait => {
-                        self.record(TraceKind::LifecycleWait { client: c.0 });
-                        return;
-                    }
-                    Route::Issue(key) => routed = Some(key),
-                }
-            }
-        }
+        // Residency routing: a managed model's run resolves its version at
+        // issue time on the picked device. A `Wait` parks the client inside
+        // that device's manager; it is woken (via `Effects::wake`) once a
+        // version starts serving.
+        let issued = match self.clients[c.0 as usize].deployment {
+            Some(mi) => match self.route_managed(c, mi as usize) {
+                Some(issued) => Some(issued),
+                None => return,
+            },
+            None => None,
+        };
         let job_id = JobId(self.job_refs.len() as u64);
         // A routed run executes the *version's* graph and registers under
         // its versioned name, so per-version profiles drive scheduling.
-        let graph = match routed {
-            Some(key) => match self.cluster.as_ref() {
-                // Every device's manager holds the same plan, so manager 0
-                // resolves any routed key's model.
-                Some(rt) => Arc::clone(rt.managers[0].version_model(key).graph()),
-                None => {
-                    let rt = self.lifecycle.as_ref().expect("routed without manager");
-                    Arc::clone(rt.mgr.version_model(key).graph())
-                }
-            },
+        // Every device's manager holds the same plan, so manager 0 resolves
+        // any issued key's model.
+        let plan = self.residency.as_ref().map(|rt| &rt.managers[0]);
+        let graph = match issued {
+            Some((_, key, _)) => Arc::clone(plan.expect("issued without managers").version_model(key).graph()),
             None => Arc::clone(self.clients[c.0 as usize].spec.model.graph()),
         };
         // Degradation ladder: past Healthy, runs are metered at a shrunk
@@ -979,16 +926,8 @@ impl Engine<'_> {
         };
         let ctx = JobCtx {
             client: c,
-            model_name: match routed {
-                Some(key) => match self.cluster.as_ref() {
-                    Some(rt) => rt.managers[0].versioned_name(key),
-                    None => self
-                        .lifecycle
-                        .as_ref()
-                        .expect("routed without manager")
-                        .mgr
-                        .versioned_name(key),
-                },
+            model_name: match issued {
+                Some((_, key, _)) => plan.expect("issued without managers").versioned_name(key),
                 None => client.spec.model.name(),
             },
             batch,
@@ -1020,20 +959,12 @@ impl Engine<'_> {
                         (self.job_hot.len() - 1) as u32
                     }
                 };
-                self.job_cold[slot as usize].started_at = self.now;
+                let cold = &mut self.job_cold[slot as usize];
+                cold.started_at = self.now;
+                cold.issued = issued;
                 self.job_refs.push(JobRef::Live(slot));
-                if let Some(key) = routed {
-                    if let Some(rt) = self.cluster.as_mut() {
-                        let dev = self.clients[c.0 as usize].device;
-                        rt.outstanding_ns[dev as usize] += routed_est;
-                        rt.job_routes.insert(job_id.0, (dev, key, routed_est));
-                    } else {
-                        self.lifecycle
-                            .as_mut()
-                            .expect("routed without manager")
-                            .job_versions
-                            .insert(job_id.0, key);
-                    }
+                if let (Some((dev, _, est)), Some(f)) = (issued, self.fleet_mut()) {
+                    f.outstanding_ns[dev as usize] += est;
                 }
                 self.clients[c.0 as usize].current_job = Some(job_id);
                 if let Some(deadline) = self.clients[c.0 as usize].spec.run_deadline {
@@ -1051,19 +982,15 @@ impl Engine<'_> {
                 self.settle(c, ClientOutcome::RejectedByScheduler(e.to_string()));
                 let client = &mut self.clients[c.0 as usize];
                 let home = client.home as usize;
-                let dev = client.device;
                 if let Some(a) = client.activations.take() {
                     self.memories[home].free(a);
                     self.pump_admission();
                 }
-                if let Some(key) = routed {
+                if let Some((dev, key, _)) = issued {
                     // The issue never became a job: return the version's
-                    // in-flight credit (no latency observation).
-                    if self.cluster.is_some() {
-                        self.cluster_run_finished(dev, key, None);
-                    } else {
-                        self.lifecycle_run_finished(key, None);
-                    }
+                    // in-flight credit (no latency observation). Nothing
+                    // was charged to the device's queue yet.
+                    self.run_finished((dev, key, 0), None);
                 }
             }
         }
@@ -1072,7 +999,7 @@ impl Engine<'_> {
     fn complete_run(&mut self, job_id: JobId) {
         let slot = self.live_slot(job_id).expect("completing a live job");
         self.job_refs[job_id.0 as usize] = JobRef::Dead;
-        let (held, c, gpu_busy, final_quantum, started_at) = {
+        let (held, c, gpu_busy, final_quantum, started_at, issued) = {
             let job = &mut self.job_hot[slot];
             let cold = &mut self.job_cold[slot];
             debug_assert_eq!(job.busy, 0, "no in-flight work at completion");
@@ -1088,6 +1015,7 @@ impl Engine<'_> {
                 job.gpu_busy,
                 flushed,
                 cold.started_at,
+                cold.issued.take(),
             )
         };
         // Return the whole gang to the pool.
@@ -1114,18 +1042,8 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        if self.cluster.is_some() {
-            self.cluster_job_done(job_id.0, Some(self.now - started_at));
-        } else if self.lifecycle.is_some() {
-            let key = self
-                .lifecycle
-                .as_mut()
-                .unwrap()
-                .job_versions
-                .remove(&job_id.0);
-            if let Some(key) = key {
-                self.lifecycle_run_finished(key, Some(self.now - started_at));
-            }
+        if let Some(issued) = issued {
+            self.run_finished(issued, Some(self.now - started_at));
         }
         let client = &mut self.clients[c.0 as usize];
         if client.batches_done < client.spec.num_batches {
@@ -1188,6 +1106,7 @@ impl Engine<'_> {
     fn teardown_job(&mut self, job_id: JobId, c: ClientId, outcome: ClientOutcome) {
         let slot = self.live_slot(job_id).expect("tearing down a live job");
         let held = self.job_hot[slot].held;
+        let issued = self.job_cold[slot].issued.take();
         let dev = self.clients[c.0 as usize].device as usize;
         self.job_refs[job_id.0 as usize] = JobRef::Cancelled(dev as u32);
         self.free_slots.push(slot as u32);
@@ -1218,22 +1137,10 @@ impl Engine<'_> {
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
         self.schedule_timer();
-        if self.cluster.is_some() {
-            // Cancelled runs report no latency: they must not skew
-            // the canary statistics.
-            self.cluster_job_done(job_id.0, None);
-        } else if self.lifecycle.is_some() {
-            let key = self
-                .lifecycle
-                .as_mut()
-                .unwrap()
-                .job_versions
-                .remove(&job_id.0);
-            if let Some(key) = key {
-                // Cancelled runs report no latency: they must not skew
-                // the canary statistics.
-                self.lifecycle_run_finished(key, None);
-            }
+        if let Some(issued) = issued {
+            // Cancelled runs report no latency: they must not skew the
+            // canary statistics.
+            self.run_finished(issued, None);
         }
         // Abort the whole session and release its memory (activations live
         // on the home device, which may differ from the routed one).
@@ -1249,40 +1156,81 @@ impl Engine<'_> {
 
     // ---- model lifecycle --------------------------------------------------
 
-    /// Advances the lifecycle manager's time-driven transitions (publishes,
-    /// load completions, warm-up runs) and applies the effects. In cluster
-    /// mode every device's manager is ticked, in device order.
-    fn lifecycle_tick(&mut self) {
-        if self.cluster.is_some() {
-            let n = self.cluster.as_ref().unwrap().managers.len();
-            for d in 0..n {
-                let mut fx = LcEffects::default();
-                {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].tick(self.now, &mut self.memories[d], &mut fx);
-                }
-                self.apply_lifecycle_effects(fx);
-            }
-            return;
-        }
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.lifecycle.as_mut().expect("lifecycle tick with manager off");
-            rt.mgr.tick(self.now, &mut self.memories[0], &mut fx);
-        }
-        self.apply_lifecycle_effects(fx);
+    /// The fleet router, when the residency runtime has one.
+    fn fleet_mut(&mut self) -> Option<&mut FleetRouter> {
+        self.residency.as_mut().and_then(|rt| rt.fleet.as_mut())
     }
 
-    /// Reports a routed run's completion (`latency == None` for cancelled
-    /// or never-started runs) and applies the resulting effects: canary
-    /// decisions, drain completions and retried loads.
-    fn lifecycle_run_finished(&mut self, key: VersionKey, latency: Option<SimDuration>) {
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.lifecycle.as_mut().expect("lifecycle hook with manager off");
-            rt.mgr
-                .run_finished(key, self.now, latency, &mut self.memories[0], &mut fx);
+    /// Advances every device manager's time-driven transitions (publishes,
+    /// load completions, warm-up runs), in device order, applying each
+    /// device's effects before the next ticks.
+    fn lifecycle_tick(&mut self) {
+        const MANAGED: &str = "lifecycle ticks are scheduled only with managers";
+        let n = self.residency.as_ref().expect(MANAGED).managers.len();
+        for d in 0..n {
+            let mut fx = LcEffects::default();
+            let mgr = &mut self.residency.as_mut().expect(MANAGED).managers[d];
+            mgr.tick(self.now, &mut self.memories[d], &mut fx);
+            self.apply_lifecycle_effects(fx);
         }
+    }
+
+    /// Routes one run of deployment `mi` for client `c`: picks a device
+    /// (the router in fleet mode, the single device otherwise) and
+    /// resolves the version on that device's manager. Past Healthy, the
+    /// control plane's ladder resolves to the cheapest serving version —
+    /// trading answer fidelity for GPU time. Returns `None` when the
+    /// client parked to wait for a load.
+    fn route_managed(&mut self, c: ClientId, mi: usize) -> Option<Issued> {
+        let (dev, est_ns) = if self.fleet_mut().is_some() {
+            self.fleet_pick(c, mi)
+        } else {
+            (0, 0)
+        };
+        let degraded = self
+            .control
+            .as_ref()
+            .is_some_and(|rt| rt.machine.state() != controlplane::DegradeState::Healthy);
+        let mut fx = LcEffects::default();
+        let route = {
+            let rt = self.residency.as_mut().expect("a deployment index implies managers");
+            let mgr = &mut rt.managers[dev as usize];
+            let pool = &mut self.memories[dev as usize];
+            if degraded {
+                mgr.route_cheapest(mi, c.0, self.now, pool, &mut fx)
+            } else {
+                mgr.route(mi, c.0, self.now, pool, &mut fx)
+            }
+        };
+        self.apply_lifecycle_effects(fx);
+        match route {
+            Route::Wait => {
+                if let Some(f) = self.fleet_mut() {
+                    f.parked.insert(c.0, (dev, est_ns));
+                    f.outstanding_ns[dev as usize] += est_ns;
+                }
+                self.record(TraceKind::LifecycleWait { client: c.0 });
+                None
+            }
+            Route::Issue(key) => {
+                self.clients[c.0 as usize].device = dev;
+                Some((dev, key, est_ns))
+            }
+        }
+    }
+
+    /// Reports a managed run's end (`latency == None` for cancelled or
+    /// never-started runs) to the manager of the device it was issued on,
+    /// returns its queue charge to the fleet router, and applies the
+    /// effects: canary decisions, drain completions and retried loads.
+    fn run_finished(&mut self, (dev, key, charged_ns): Issued, latency: Option<SimDuration>) {
+        let d = dev as usize;
+        let rt = self.residency.as_mut().expect("an issued run implies managers");
+        if let Some(f) = rt.fleet.as_mut() {
+            f.outstanding_ns[d] = f.outstanding_ns[d].saturating_sub(charged_ns);
+        }
+        let mut fx = LcEffects::default();
+        rt.managers[d].run_finished(key, self.now, latency, &mut self.memories[d], &mut fx);
         self.apply_lifecycle_effects(fx);
     }
 
@@ -1365,148 +1313,76 @@ impl Engine<'_> {
 
     // ---- fleet orchestration ----------------------------------------------
 
-    /// Routes one arriving run across the fleet: estimates each device's
-    /// cost (queued work + transfer-if-load-needed + profile-scaled
-    /// execute), picks the cheapest (lowest index on ties), and resolves
-    /// the version through that device's lifecycle manager.
-    fn cluster_route(&mut self, c: ClientId) -> FleetRoute {
-        let name = self.clients[c.0 as usize].spec.model.name().to_string();
-        let Some(mi) = self.cluster.as_ref().unwrap().managers[0].model_index(&name) else {
-            return FleetRoute::Unmanaged;
-        };
+    /// The fleet router's device pick for one arriving run of deployment
+    /// `mi`: estimates each device's cost (queued work +
+    /// transfer-if-load-needed + profile-scaled execute) and picks the
+    /// cheapest (lowest index on ties). Returns the device and the run's
+    /// execute estimate there.
+    fn fleet_pick(&mut self, c: ClientId, mi: usize) -> (u32, u64) {
+        let spec = &self.clients[c.0 as usize].spec;
+        let rt = self.residency.as_mut().expect("a deployment index implies managers");
+        let f = rt.fleet.as_mut().expect("fleet pick only with a router");
         // Whole-run GPU estimate at speed 1.0: the oracle's figure when
         // bound, else the graph's summed kernel durations.
-        let batch = self.clients[c.0 as usize].spec.model.batch();
-        let base_ns = {
-            let rt = self.cluster.as_ref().unwrap();
-            rt.cfg
-                .cost
-                .as_ref()
-                .and_then(|o| o.expected_gpu_ns(&name, batch))
-                .unwrap_or_else(|| {
-                    let g = self.clients[c.0 as usize].spec.model.graph();
-                    g.node_ids()
-                        .filter(|&id| g.node(id).placement() == Placement::Gpu)
-                        .map(|id| g.node(id).duration().as_nanos())
-                        .sum()
-                })
-        };
+        let base_ns = f
+            .cost
+            .as_ref()
+            .and_then(|o| o.expected_gpu_ns(spec.model.name(), spec.model.batch()))
+            .unwrap_or_else(|| {
+                let g = spec.model.graph();
+                g.node_ids()
+                    .filter(|&id| g.node(id).placement() == Placement::Gpu)
+                    .map(|id| g.node(id).duration().as_nanos())
+                    .sum()
+            });
         // A woken client re-routes from scratch: return its parked charge.
-        let parked_dev = {
-            let rt = self.cluster.as_mut().unwrap();
-            match rt.parked.remove(&c.0) {
-                Some((pd, pest)) => {
-                    rt.outstanding_ns[pd as usize] =
-                        rt.outstanding_ns[pd as usize].saturating_sub(pest);
-                    Some(pd)
-                }
-                None => None,
+        let parked_dev = f.parked.remove(&c.0).map(|(pd, pest)| {
+            f.outstanding_ns[pd as usize] = f.outstanding_ns[pd as usize].saturating_sub(pest);
+            pd
+        });
+        if parked_dev.is_none() {
+            // Demand is counted once per arrival, not per wake-up.
+            f.window_demand[mi] += 1;
+        }
+        f.exec_est[mi] = base_ns;
+        let (dev, est_ns, cost_ns) = match f.policy {
+            cluster::RouterPolicy::Static => {
+                let d = mi % rt.managers.len();
+                let est = cluster::scaled_execute_ns(base_ns, f.speed[d]);
+                (d as u32, est, est)
             }
-        };
-        let (dev, est_ns, cost_ns) = {
-            let rt = self.cluster.as_mut().unwrap();
-            if parked_dev.is_none() {
-                // Demand is counted once per arrival, not per wake-up.
-                rt.window_demand[mi] += 1;
-            }
-            rt.exec_est[mi] = base_ns;
-            match rt.cfg.policy {
-                cluster::RouterPolicy::Static => {
-                    let d = mi % rt.managers.len();
-                    let est = cluster::scaled_execute_ns(base_ns, rt.speed[d]);
-                    (d as u32, est, est)
-                }
-                cluster::RouterPolicy::CostAware => {
-                    let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
-                        .map(|d| {
-                            let m = &rt.managers[d];
-                            cluster::DeviceEstimate {
-                                queued_ns: rt.outstanding_ns[d],
-                                resident: m.serving_version(mi).is_some(),
-                                loading: m.is_loading(mi),
-                                transfer_ns: MemoryPool::transfer_time(
-                                    m.aspired_weights_bytes(mi),
-                                    m.load_gbps(),
-                                )
-                                .as_nanos(),
-                                execute_ns: cluster::scaled_execute_ns(base_ns, rt.speed[d]),
-                            }
-                        })
-                        .collect();
-                    let d = cluster::pick_device(&ests);
-                    (d as u32, ests[d].execute_ns, ests[d].cost_ns())
-                }
+            cluster::RouterPolicy::CostAware => {
+                let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
+                    .map(|d| {
+                        let m = &rt.managers[d];
+                        cluster::DeviceEstimate {
+                            queued_ns: f.outstanding_ns[d],
+                            resident: m.serving_version(mi).is_some(),
+                            loading: m.is_loading(mi),
+                            transfer_ns: MemoryPool::transfer_time(
+                                m.aspired_weights_bytes(mi),
+                                m.load_gbps(),
+                            )
+                            .as_nanos(),
+                            execute_ns: cluster::scaled_execute_ns(base_ns, f.speed[d]),
+                        }
+                    })
+                    .collect();
+                let d = cluster::pick_device(&ests);
+                (d as u32, ests[d].execute_ns, ests[d].cost_ns())
             }
         };
         // A wake credit granted on a device the run no longer routes to
         // must be returned, or that version stays pinned forever.
-        if let Some(pd) = parked_dev {
-            if pd != dev {
-                self.cluster.as_mut().unwrap().managers[pd as usize].cancel_wake_credit(mi);
-            }
+        if let Some(pd) = parked_dev.filter(|&pd| pd != dev) {
+            rt.managers[pd as usize].cancel_wake_credit(mi);
         }
         self.record(TraceKind::ClusterRoute {
             client: c.0,
             device: dev,
             cost_us: cost_ns / 1_000,
         });
-        let mut fx = LcEffects::default();
-        let route = {
-            let rt = self.cluster.as_mut().unwrap();
-            rt.managers[dev as usize].route(
-                &name,
-                c.0,
-                self.now,
-                &mut self.memories[dev as usize],
-                &mut fx,
-            )
-        };
-        self.apply_lifecycle_effects(fx);
-        match route {
-            Route::Wait => {
-                let rt = self.cluster.as_mut().unwrap();
-                rt.parked.insert(c.0, (dev, est_ns));
-                rt.outstanding_ns[dev as usize] += est_ns;
-                self.record(TraceKind::LifecycleWait { client: c.0 });
-                FleetRoute::Wait
-            }
-            Route::Issue(key) => {
-                self.clients[c.0 as usize].device = dev;
-                FleetRoute::Issue(key, est_ns)
-            }
-        }
-    }
-
-    /// Reports a routed run's completion to the device's manager — the
-    /// cluster counterpart of [`lifecycle_run_finished`](Self::lifecycle_run_finished).
-    fn cluster_run_finished(&mut self, dev: u32, key: VersionKey, latency: Option<SimDuration>) {
-        let mut fx = LcEffects::default();
-        {
-            let rt = self.cluster.as_mut().expect("cluster hook with cluster off");
-            rt.managers[dev as usize].run_finished(
-                key,
-                self.now,
-                latency,
-                &mut self.memories[dev as usize],
-                &mut fx,
-            );
-        }
-        self.apply_lifecycle_effects(fx);
-    }
-
-    /// Settles a finished (or cancelled) routed job: returns its queue
-    /// charge and reports the completion to its device's manager.
-    fn cluster_job_done(&mut self, job: u64, latency: Option<SimDuration>) {
-        let entry = {
-            let rt = self.cluster.as_mut().expect("cluster hook with cluster off");
-            rt.job_routes.remove(&job).inspect(|&(dev, _, est)| {
-                rt.outstanding_ns[dev as usize] =
-                    rt.outstanding_ns[dev as usize].saturating_sub(est);
-            })
-        };
-        if let Some((dev, key, _)) = entry {
-            self.cluster_run_finished(dev, key, latency);
-        }
+        (dev, est_ns)
     }
 
     /// One reconfiguration tick: solve the demand window's min-cost flow
@@ -1517,7 +1393,7 @@ impl Engine<'_> {
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
         }
-        let tick = self.cluster.as_ref().expect("cluster tick with cluster off").cfg.tick;
+        let tick = self.fleet_mut().expect("cluster tick without a router").tick;
         if self.undecided > 0 {
             self.queue.schedule(now + tick, Event::ClusterTick);
         }
@@ -1530,17 +1406,19 @@ impl Engine<'_> {
     /// drains)`. Device capacities are run units proportional to relative
     /// speed (ceiling division, so aggregate capacity covers demand).
     fn cluster_reconfigure(&mut self) -> (u32, u32) {
+        const FLEET: &str = "cluster ticks are scheduled only in fleet mode";
         let now = self.now;
         let problem = {
-            let rt = self.cluster.as_mut().unwrap();
-            let n_models = rt.window_demand.len();
+            let rt = self.residency.as_mut().expect(FLEET);
+            let f = rt.fleet.as_mut().expect(FLEET);
+            let n_models = f.window_demand.len();
             let n_devs = rt.managers.len();
-            let demands = std::mem::replace(&mut rt.window_demand, vec![0; n_models]);
+            let demands = std::mem::replace(&mut f.window_demand, vec![0; n_models]);
             let total: u64 = demands.iter().sum();
             if total == 0 {
                 return (0, 0);
             }
-            let speed_ppm: Vec<u64> = rt.speed.iter().map(|s| (s * 1e6) as u64).collect();
+            let speed_ppm: Vec<u64> = f.speed.iter().map(|s| (s * 1e6) as u64).collect();
             let sum_ppm: u64 = speed_ppm.iter().sum();
             let capacities: Vec<u64> = speed_ppm
                 .iter()
@@ -1563,7 +1441,7 @@ impl Engine<'_> {
                                 )
                                 .as_nanos()
                             };
-                            (transfer + cluster::scaled_execute_ns(rt.exec_est[mi], rt.speed[d]))
+                            (transfer + cluster::scaled_execute_ns(f.exec_est[mi], f.speed[d]))
                                 / 1_000
                         })
                         .collect()
@@ -1582,19 +1460,12 @@ impl Engine<'_> {
                 continue;
             }
             for &d in &placements {
-                let cold = {
-                    let rt = self.cluster.as_ref().unwrap();
-                    rt.managers[d].serving_version(mi).is_none()
-                        && !rt.managers[d].is_loading(mi)
-                };
-                if !cold {
+                let mgr = &mut self.residency.as_mut().expect(FLEET).managers[d];
+                if mgr.serving_version(mi).is_some() || mgr.is_loading(mi) {
                     continue;
                 }
                 let mut fx = LcEffects::default();
-                let ok = {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].request_load(mi, now, &mut self.memories[d], &mut fx)
-                };
+                let ok = mgr.request_load(mi, now, &mut self.memories[d], &mut fx);
                 self.apply_lifecycle_effects(fx);
                 if ok {
                     loads += 1;
@@ -1604,18 +1475,12 @@ impl Engine<'_> {
                 if placements.contains(&d) {
                     continue;
                 }
-                let serving = {
-                    let rt = self.cluster.as_ref().unwrap();
-                    rt.managers[d].serving_version(mi).is_some()
-                };
-                if !serving {
+                let mgr = &mut self.residency.as_mut().expect(FLEET).managers[d];
+                if mgr.serving_version(mi).is_none() {
                     continue;
                 }
                 let mut fx = LcEffects::default();
-                let ok = {
-                    let rt = self.cluster.as_mut().unwrap();
-                    rt.managers[d].request_drain(mi, now, &mut self.memories[d], &mut fx)
-                };
+                let ok = mgr.request_drain(mi, now, &mut self.memories[d], &mut fx);
                 self.apply_lifecycle_effects(fx);
                 if ok {
                     drains += 1;
@@ -1772,11 +1637,9 @@ impl Engine<'_> {
             starving: self.starving.len() as u64,
             active_jobs: u64::from(probe.active_jobs),
             holder_cost: probe.holder_cost,
-            resident_model_bytes: match (&self.lifecycle, &self.cluster) {
-                (Some(rt), _) => rt.mgr.resident_bytes(),
-                (None, Some(rt)) => rt.managers.iter().map(LifecycleManager::resident_bytes).sum(),
-                (None, None) => 0,
-            },
+            resident_model_bytes: self.residency.as_ref().map_or(0, |rt| {
+                rt.managers.iter().map(LifecycleManager::resident_bytes).sum()
+            }),
         }
     }
 

@@ -2,9 +2,16 @@
 //! hysteresis at engine level, the Shedding admission gate, and
 //! byte-determinism of controlled runs across worker counts.
 
+use dataflow::NodeId;
+use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, Profiler, ProfileStore, RoundRobin, StoreCostOracle};
+use serving::cluster::{ClusterConfig, RouterPolicy};
 use serving::faults::{FaultConfig, FaultPlan};
-use serving::{run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig};
+use serving::trace::TraceKind;
+use serving::{
+    run_experiment, ClientOutcome, ClientSpec, EngineConfig, FifoScheduler, JobCtx, JobId,
+    RegisterError, RunReport, Scheduler, TraceConfig, Verdict,
+};
 use simtime::{SimDuration, SimTime};
 use std::sync::Arc;
 use telemetry::{BurnWindows, DriftConfig, SloSpec, TelemetryConfig};
@@ -131,6 +138,127 @@ fn shedding_rung_refuses_a_late_admission() {
     // The first three were admitted while Healthy and are never evicted.
     assert_eq!(report.finished_count(), 3);
     assert!(report.chrome_trace_json().contains("\"admission-shed\""));
+}
+
+/// FIFO metering that records every registration's instant and profile
+/// name — for a managed model, the versioned name the run was issued
+/// under.
+#[derive(Debug, Default)]
+struct RecordingFifo {
+    inner: FifoScheduler,
+    registered: Vec<(SimTime, String)>,
+}
+
+impl Scheduler for RecordingFifo {
+    fn register(&mut self, job: JobId, ctx: &JobCtx<'_>) -> Result<Verdict, RegisterError> {
+        self.registered.push((ctx.now, ctx.model_name.to_string()));
+        self.inner.register(job, ctx)
+    }
+
+    fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
+        self.inner.deregister(job, now)
+    }
+
+    fn may_run(&self, job: JobId) -> bool {
+        self.inner.may_run(job)
+    }
+
+    fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
+        self.inner.on_gpu_node_done(job, node, now)
+    }
+
+    fn name(&self) -> &str {
+        "recording-fifo"
+    }
+}
+
+/// A zoo model rebadged as the managed service `svc`.
+fn svc(m: models::LoadedModel) -> models::LoadedModel {
+    models::LoadedModel::from_parts(
+        "svc",
+        None,
+        m.batch(),
+        Arc::clone(m.graph()),
+        m.weights_bytes(),
+        m.activation_bytes(),
+    )
+}
+
+/// A heavy `svc@v1` and a light canary candidate `svc@v2` (published at
+/// 500 µs) under an objective no run can meet, so the ladder escalates as
+/// in [`shedding_rung_refuses_a_late_admission`]. The canary never
+/// decides (`min_runs` is out of reach), so both versions keep serving.
+/// `fleet` runs it as a two-device static fleet instead of through
+/// `with_lifecycle`. Returns the Degraded transition instant and every
+/// registration.
+fn degraded_canary_run(fleet: bool) -> (SimTime, Vec<(SimTime, String)>) {
+    let heavy = svc(models::mini::small(4));
+    let plan = DeploymentPlan::new().with_model(
+        ModelDeployment::new("svc", heavy.clone())
+            .with_version(svc(models::mini::tiny(4)), SimTime::from_micros(500)),
+    );
+    // Fast loads and no warm-up: version 1 serves well before version 2
+    // publishes, so the canary split starts at 500 µs.
+    let lc = LifecycleConfig::new(plan)
+        .with_load_gbps(1_000.0)
+        .with_warmup_runs(0)
+        .with_canary(CanaryConfig { stride: 2, min_runs: u32::MAX, tolerance: 0.25 });
+    let base = EngineConfig::default()
+        .with_trace(TraceConfig::sampled())
+        .with_telemetry(
+            TelemetryConfig::enabled(SimDuration::from_micros(200))
+                .with_slo(SloSpec::new("svc", SimDuration::from_micros(100), 0.05))
+                .with_burn(BurnWindows { short: 1, long: 2, threshold: 2.0 }),
+        )
+        .with_control(
+            controlplane::ControlConfig::new().with_cool_window(SimDuration::from_millis(50)),
+        );
+    let cfg = if fleet {
+        let cc = ClusterConfig::new(vec![base.device.clone(); 2], lc)
+            .with_policy(RouterPolicy::Static)
+            .with_reconfigure(false);
+        base.with_cluster(cc)
+    } else {
+        base.with_lifecycle(lc)
+    };
+    let mut sched = RecordingFifo::default();
+    let report = run_experiment(&cfg, vec![ClientSpec::new(heavy, 12); 3], &mut sched);
+    assert!(report.all_finished(), "fleet={fleet}: every session must finish");
+    let degraded_at = report
+        .trace
+        .events
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceKind::ControlTransition { to: "degraded", .. } => Some(e.at),
+            _ => None,
+        })
+        .expect("the ladder must reach Degraded");
+    (degraded_at, sched.registered)
+}
+
+/// The Degraded rung routes managed models to their cheapest serving
+/// version, whichever residency mode serves them: lifecycle mode and a
+/// fleet take the same route path, so the rule applies on the device the
+/// router picked.
+#[test]
+fn degraded_rung_routes_to_the_cheapest_version_in_lifecycle_and_fleet_mode() {
+    for fleet in [false, true] {
+        let (degraded_at, registered) = degraded_canary_run(fleet);
+        let (before, after): (Vec<_>, Vec<_>) =
+            registered.iter().partition(|(at, _)| *at <= degraded_at);
+        // Premise: while Healthy the canary split is live, so both
+        // versions were serving before the ladder moved.
+        assert!(before.iter().any(|(_, n)| n == "svc@v1"), "fleet={fleet}: {before:?}");
+        assert!(before.iter().any(|(_, n)| n == "svc@v2"), "fleet={fleet}: {before:?}");
+        assert!(after.len() >= 3, "fleet={fleet}: too few runs after Degraded: {after:?}");
+        for (at, name) in &after {
+            assert_eq!(
+                name, "svc@v2",
+                "fleet={fleet}: run issued at {at} after Degraded ({degraded_at}) \
+                 must take the cheaper version"
+            );
+        }
+    }
 }
 
 /// Renders a controlled run to the digits the reports print, so the byte

@@ -5,6 +5,7 @@
 
 use lifecycle::{CanaryConfig, DeploymentPlan, LifecycleConfig, ModelDeployment};
 use olympian::{OlympianScheduler, ProfileStore, StoreBinder};
+use serving::cluster::{ClusterConfig, RouterPolicy};
 use serving::{
     run_experiment, ClientOutcome, ClientSpec, EngineConfig, RunReport, TraceConfig,
 };
@@ -86,6 +87,55 @@ fn canary_run(regressed: bool) -> RunReport {
     run_experiment(&cfg, clients, &mut fair(store))
 }
 
+/// Churn and a canary in one plan: six services on a device whose memory
+/// fits three weight sets, and service 0 publishes a twin version 2 at
+/// 500 µs. `fleet` serves the plan as a one-device static fleet with the
+/// reconfiguration loop off instead of through `with_lifecycle`.
+fn churn_canary_run(fleet: bool) -> RunReport {
+    const SERVICES: usize = 6;
+    let probe = service("probe", false);
+    let budget =
+        3 * probe.weights_bytes() + (SERVICES + 1) as u64 * probe.activation_bytes() + (64 << 10);
+    let mut plan = DeploymentPlan::new();
+    for i in 0..SERVICES {
+        let name = format!("svc-{i}");
+        let mut dep = ModelDeployment::new(name.clone(), service(&name, false));
+        if i == 0 {
+            dep = dep.with_version(service(&name, false), SimTime::from_micros(500));
+        }
+        plan = plan.with_model(dep);
+    }
+    let device = gpusim::DeviceProfile::custom("lifecycle-lab", 1.0, budget, 8, 0.0);
+    let cfg = EngineConfig { device: device.clone(), ..EngineConfig::default() }
+        .with_trace(TraceConfig::sampled())
+        .with_telemetry(TelemetryConfig::enabled(CADENCE));
+    let store = Arc::new(ProfileStore::new());
+    let binder = StoreBinder::calibrate(&cfg, &plan, Arc::clone(&store));
+    let lc = LifecycleConfig::new(plan).with_canary(CANARY).with_binder(binder);
+    let cfg = if fleet {
+        let cc = ClusterConfig::new(vec![device], lc)
+            .with_policy(RouterPolicy::Static)
+            .with_reconfigure(false);
+        cfg.with_cluster(cc)
+    } else {
+        cfg.with_lifecycle(lc)
+    };
+    // Service 0 gets a second, longer-lived client so the canary sees
+    // enough runs on both arms to decide.
+    let mut clients: Vec<ClientSpec> = (0..SERVICES)
+        .map(|i| {
+            ClientSpec::new(service(&format!("svc-{i}"), false), 4)
+                .with_start(SimTime::ZERO + SimDuration::from_micros(150 * i as u64))
+                .with_think_time(SimDuration::from_micros(800))
+        })
+        .collect();
+    clients.push(
+        ClientSpec::new(service("svc-0", false), 24)
+            .with_think_time(SimDuration::from_micros(300)),
+    );
+    run_experiment(&cfg, clients, &mut fair(store))
+}
+
 fn no_stalls(r: &RunReport) {
     for c in &r.clients {
         assert!(
@@ -164,4 +214,33 @@ fn canary_promotes_healthy_and_rolls_back_regressed() {
     // serving, so at least one drain and one unload are observed.
     assert!(regressed.telemetry.counter("drains_started").unwrap() >= 1);
     assert!(regressed.telemetry.counter("versions_unloaded").unwrap() >= 1);
+}
+
+/// Lifecycle mode is a one-device fleet without a router: the same plan,
+/// served through `with_lifecycle` and as a one-device static fleet, gives
+/// every client the same outcome, run finish times, GPU durations and
+/// quanta.
+#[test]
+fn lifecycle_mode_equals_a_one_device_static_fleet() {
+    let lifecycle = churn_canary_run(false);
+    let fleet = churn_canary_run(true);
+    let t = &lifecycle.telemetry;
+    assert!(lifecycle.all_finished());
+    assert!(t.counter("versions_evicted").unwrap() >= 1, "the plan must churn");
+    assert_eq!(
+        t.counter("canary_promotions").unwrap() + t.counter("canary_rollbacks").unwrap(),
+        1,
+        "the canary must decide"
+    );
+    assert_eq!(lifecycle.clients.len(), fleet.clients.len());
+    for (a, b) in lifecycle.clients.iter().zip(&fleet.clients) {
+        assert_eq!(a.outcome, b.outcome, "client {} outcome", a.client.0);
+        assert_eq!(a.run_finish_times, b.run_finish_times, "client {} finishes", a.client.0);
+        assert_eq!(a.run_gpu_durations, b.run_gpu_durations, "client {} GPU", a.client.0);
+        assert_eq!(a.quantum_marks, b.quantum_marks, "client {} quanta", a.client.0);
+    }
+    assert_eq!(lifecycle.makespan, fleet.makespan);
+    // Only the fleet routes through the router.
+    assert_eq!(t.counter("cluster_routes"), Some(0));
+    assert!(fleet.telemetry.counter("cluster_routes").unwrap() > 0);
 }
