@@ -24,7 +24,6 @@
 //! olympctl fleet   <scenario>   [--out report.txt]
 //! olympctl top     <experiment> [--interval-us N] [--fps N] [--rows N]
 //! olympctl query   <expr> [--dir runs] [--run A] [--vs B] [--dash out.html]
-//! olympctl import-bench <BENCH.json> [--dir runs] [--as seed]
 //! ```
 //!
 //! `trace` runs a named experiment (see `bench::traced::traced_registry`)
@@ -81,18 +80,13 @@
 //! toward each snapshot boundary, with the alert feed underneath.
 //!
 //! `query` evaluates a `tsdb` expression against runs stored in the
-//! catalog directory (`metrics --store <dir>` or `import-bench` fill
-//! it): `p99{client=*}` for nearest-rank latency quantiles,
-//! `rate:counter` for event rates, any metric name for its latest value.
+//! catalog directory (`metrics --store <dir>` fills it): `p99{client=*}`
+//! for nearest-rank latency quantiles, `rate:counter` for event rates,
+//! any metric name for its latest value.
 //! `--vs <run>` joins a baseline run into a delta report — regression
 //! checks over stored history alone, no re-simulation. `--dash` writes
 //! the self-contained HTML dashboard (per-series SVG sparklines,
 //! heatmaps, alert markers and — with `--vs` — the delta table).
-//!
-//! `import-bench` flattens a `BENCH_engine.json`-style document into the
-//! catalog (metric `section.key`, deeper path components as a `case`
-//! label), so perf baselines are queryable: `olympctl query
-//! 'engine.events_per_s' --run seed --vs seed`.
 
 use olympian::{
     DeficitRoundRobin, Lottery, MultiGpuScheduler, OlympianScheduler, Policy, Priority,
@@ -124,7 +118,6 @@ fn usage() -> ExitCode {
          olympctl fleet <scenario> [--out <report.txt>]\n  \
          olympctl top <experiment> [--interval-us <n>] [--fps <n>] [--rows <n>]\n  \
          olympctl query <expr> [--dir <runs>] [--run <a>] [--vs <b>] [--dash <out.html>]\n  \
-         olympctl import-bench <BENCH.json> [--dir <runs>] [--as <seed>]\n  \
          any command also accepts --jobs <n> (worker threads for parallel\n  \
          sweeps; default: all cores, or OLYMPIAN_JOBS)"
     );
@@ -607,7 +600,7 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
     if runs.is_empty() {
         return Err(format!(
             "no stored runs under {dir:?}; fill it with `olympctl metrics <experiment> \
-             --store {dir}` or `olympctl import-bench BENCH_engine.json --dir {dir}`"
+             --store {dir}`"
         ));
     }
     let vs = flags.get("vs").map(String::as_str);
@@ -695,29 +688,6 @@ fn cmd_query(expr_text: &str, flags: &HashMap<String, String>) -> Result<(), Str
         std::fs::write(path, html).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
-    Ok(())
-}
-
-fn cmd_import_bench(path: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    use serving::tsdb;
-    let name = flags.get("as").map(String::as_str).unwrap_or("seed");
-    let dir = flags.get("dir").map(String::as_str).unwrap_or("runs");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = microjson::Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let store = tsdb::catalog::import_bench(&doc);
-    if store.series_count() == 0 {
-        return Err(format!("{path}: no numeric sections to import"));
-    }
-    let catalog = tsdb::RunCatalog::open(dir).map_err(|e| e.to_string())?;
-    let stored = catalog.store_run(name, &store).map_err(|e| e.to_string())?;
-    println!(
-        "imported {path} as run {name:?}: {} series at {}",
-        store.series_count(),
-        stored.display()
-    );
-    let keys: Vec<String> =
-        store.sorted_series().iter().take(4).map(|s| store.series_key(s)).collect();
-    println!("sample series  : {}", keys.join(", "));
     Ok(())
 }
 
@@ -932,9 +902,9 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    // `trace`, `metrics`, `chaos`, `lifecycle`, `top`, `query` and
-    // `import-bench` take one positional argument (the experiment,
-    // scenario, query expression or file) before flags.
+    // `trace`, `metrics`, `blame`, `chaos`, `control`, `lifecycle`,
+    // `fleet`, `top` and `query` take one positional argument (the
+    // experiment, scenario or query expression) before flags.
     let (positional, flag_args) = if cmd == "trace"
         || cmd == "metrics"
         || cmd == "blame"
@@ -944,7 +914,6 @@ fn main() -> ExitCode {
         || cmd == "fleet"
         || cmd == "top"
         || cmd == "query"
-        || cmd == "import-bench"
     {
         match args.get(1) {
             Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[2..]),
@@ -991,9 +960,6 @@ fn main() -> ExitCode {
         "fleet" => cmd_fleet(positional.as_deref().expect("positional parsed"), &flags),
         "top" => cmd_top(positional.as_deref().expect("positional parsed"), &flags),
         "query" => cmd_query(positional.as_deref().expect("positional parsed"), &flags),
-        "import-bench" => {
-            cmd_import_bench(positional.as_deref().expect("positional parsed"), &flags)
-        }
         _ => {
             return usage();
         }

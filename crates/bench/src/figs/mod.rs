@@ -45,9 +45,9 @@ pub type Experiment = (&'static str, fn() -> String);
 
 /// Every experiment of the reproduction, in the paper's presentation order.
 ///
-/// This is the registry both `bench::all` and `perfsuite` iterate; entries
-/// are independent deterministic simulations, so the harness may run them in
-/// parallel as long as results are merged in registry order.
+/// This is the registry `bench::all` iterates; entries are independent
+/// deterministic simulations, so the harness may run them in parallel as
+/// long as results are merged in registry order.
 pub fn registry() -> Vec<Experiment> {
     vec![
         ("table2", table2::run),

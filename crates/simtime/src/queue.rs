@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 /// Events are popped in non-decreasing time order; events scheduled for the
 /// *same* instant are popped in insertion order (FIFO). The property suite
 /// checks [`TimingWheel`](crate::TimingWheel) against this implementation,
-/// and the perfsuite benchmark reports the wheel's speedup over it.
+/// and `perfsuite` gates the wheel's speedup over it.
 ///
 /// ```
 /// use simtime::{BaselineEventQueue, SimTime};

@@ -27,7 +27,8 @@
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
 //! buffers and every event reduces to one predicted branch; the engine's
 //! snapshot check is a single `t >= next_due()` compare against
-//! `SimTime::MAX`. A `perfsuite` section holds this to noise.
+//! `SimTime::MAX`. The repo benchmark (`perfbench/`) reports what turning
+//! telemetry on costs as `telemetry.on_cost`.
 
 use simtime::{SimDuration, SimTime};
 use std::collections::HashMap;

@@ -35,7 +35,9 @@ pub use stats::TraceStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Record nothing. The hot path pays one predictable branch per
-    /// would-be event — the `perfsuite` guardrail holds this to noise.
+    /// would-be event. The repo benchmark (`perfbench/`) reports what the
+    /// other modes cost over it as `trace.sampled_on_cost` and
+    /// `trace.full_on_cost`.
     #[default]
     Off,
     /// Record the low-frequency scheduling and lifecycle events (token

@@ -1,6 +1,6 @@
 //! The run catalog: a directory of persisted `tsdb-run/v1` documents
-//! plus a `catalog.json` index, so finished runs (and imported
-//! `BENCH_engine.json` baselines) become queryable history.
+//! plus a `catalog.json` index, so finished runs become queryable
+//! history.
 //!
 //! Layout under the catalog directory:
 //!
@@ -122,53 +122,6 @@ fn validate_name(name: &str) -> Result<(), String> {
     }
 }
 
-/// Flattens a `BENCH_engine.json`-style benchmark document into a store,
-/// so perf trajectory becomes queryable history alongside real runs.
-///
-/// Mapping: every numeric leaf at path `section.key` becomes a point on
-/// metric `section.key`; deeper paths `section.mid....key` become metric
-/// `section.key` with the middle components as a `case` label (so
-/// `engine.fifo.events_per_sec` and `engine.olympian.events_per_sec`
-/// land on one metric, split by `case`). A trailing `_per_sec` is
-/// normalized to `_per_s`. Strings and booleans are skipped. All points
-/// are stamped at t=0 — a benchmark document is one observation.
-pub fn import_bench(doc: &microjson::Value) -> Store {
-    let mut store = Store::new();
-    let microjson::Value::Object(sections) = doc else { return store };
-    for (section, body) in sections {
-        flatten(&mut store, section, &[], body);
-    }
-    store
-}
-
-fn flatten(store: &mut Store, section: &str, mid: &[&str], v: &microjson::Value) {
-    match v {
-        microjson::Value::Object(fields) => {
-            for (k, child) in fields {
-                let mut path: Vec<&str> = mid.to_vec();
-                path.push(k);
-                flatten(store, section, &path, child);
-            }
-        }
-        microjson::Value::UInt(_) | microjson::Value::Int(_) | microjson::Value::Float(_) => {
-            let Some(value) = v.as_f64() else { return };
-            let Some((leaf, mids)) = mid.split_last() else { return };
-            let leaf = match leaf.strip_suffix("_per_sec") {
-                Some(stem) => format!("{stem}_per_s"),
-                None => leaf.to_string(),
-            };
-            let metric = format!("{section}.{leaf}");
-            if mids.is_empty() {
-                store.push(&metric, &[], 0, value);
-            } else {
-                let case = mids.join(".");
-                store.push(&metric, &[("case", &case)], 0, value);
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,32 +159,5 @@ mod tests {
         assert!(cat.store_run("../escape", &a).is_err());
         assert!(cat.load_run("missing").is_err());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn import_bench_flattens_with_case_labels() {
-        let doc = microjson::Value::parse(
-            r#"{"schema":"BENCH_engine/v1","engine":{"fifo":{"events_per_sec":100.5,"events":7},
-                "olympian":{"events_per_sec":90.25}},"queue":{"pushes_per_sec":3.5},
-                "mode":"release"}"#,
-        )
-        .unwrap();
-        let store = import_bench(&doc);
-        let keys: Vec<String> =
-            store.sorted_series().iter().map(|s| store.series_key(s)).collect();
-        assert_eq!(
-            keys,
-            vec![
-                "engine.events{case=\"fifo\"}",
-                "engine.events_per_s{case=\"fifo\"}",
-                "engine.events_per_s{case=\"olympian\"}",
-                "queue.pushes_per_s",
-            ]
-        );
-        let e = crate::Expr::parse("engine.events_per_s").unwrap();
-        let rows = crate::evaluate(&store, &e);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].value, 100.5);
-        assert_eq!(rows[1].value, 90.25);
     }
 }
