@@ -187,50 +187,6 @@ pub fn solve(p: &FlowProblem) -> FlowAssignment {
     FlowAssignment { flow, cost: total_cost as u64, shipped }
 }
 
-/// Greedy fallback used when a caller wants an O(M·D·log) plan without the
-/// augmenting-path machinery (and the property test cross-checking `solve`).
-///
-/// Bound: this instance is a *complete bipartite* transportation problem —
-/// every unit of demand may ship over any arc — so any maximal strategy,
-/// greedy included, ships exactly `F = min(Σ demands, Σ capacities)` units,
-/// the same volume as the optimum. With `c_min`/`c_max` the smallest and
-/// largest per-unit arc costs, `cost(greedy) <= c_max * F` while
-/// `cost(OPT) >= c_min * F`, hence `cost(greedy) <= (c_max / c_min) *
-/// cost(OPT)` (and greedy is exact when all arc costs are equal). The
-/// ratio is tight only when greedy is forced onto c_max arcs, i.e. when
-/// cheap devices are saturated — the common case lands far closer.
-pub fn solve_greedy(p: &FlowProblem) -> FlowAssignment {
-    p.validate();
-    let m = p.demands.len();
-    let d = p.capacities.len();
-    let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(m * d);
-    for (i, row) in p.costs.iter().enumerate() {
-        for (j, &c) in row.iter().enumerate() {
-            order.push((c, i, j));
-        }
-    }
-    // Total order (cost, model, device): no equal elements, so the sort is
-    // deterministic regardless of algorithm stability.
-    order.sort_unstable();
-    let mut demand = p.demands.clone();
-    let mut cap = p.capacities.clone();
-    let mut flow = vec![vec![0u64; d]; m];
-    let mut cost = 0u64;
-    let mut shipped = 0u64;
-    for (c, i, j) in order {
-        let x = demand[i].min(cap[j]);
-        if x == 0 {
-            continue;
-        }
-        demand[i] -= x;
-        cap[j] -= x;
-        flow[i][j] += x;
-        cost += c * x;
-        shipped += x;
-    }
-    FlowAssignment { flow, cost, shipped }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,18 +231,15 @@ mod tests {
     }
 
     #[test]
-    fn beats_or_matches_greedy_and_respects_its_bound() {
-        // Greedy saturates device 0 with model 0 (cost 1 arcs) and then
-        // pays 9 per unit for model 1; the exact solver crosses them.
+    fn crosses_arcs_when_the_cheapest_arc_is_a_trap() {
+        // Filling device 0 with model 0 (its cost-1 arc) would leave model 1
+        // paying 9 per unit on device 1; the optimum crosses the two models
+        // over the cost-2 arcs instead.
         let p = problem(&[2, 2], &[2, 2], &[&[1, 2], &[2, 9]]);
-        let exact = solve(&p);
-        let greedy = solve_greedy(&p);
-        assert_eq!(exact.shipped, greedy.shipped, "both ship F = min(demand, cap)");
-        assert!(exact.cost <= greedy.cost);
-        // The proven bound: greedy <= (c_max / c_min) * OPT.
-        let c_min = 1u64;
-        let c_max = 9u64;
-        assert!(greedy.cost * c_min <= exact.cost * c_max);
+        let a = solve(&p);
+        assert_eq!(a.flow, vec![vec![0, 2], vec![2, 0]]);
+        assert_eq!(a.cost, 8);
+        assert_eq!(a.shipped, 4);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use simtime::SimDuration;
 
 pub mod flow;
 
-pub use flow::{solve, solve_greedy, FlowAssignment, FlowProblem};
+pub use flow::{solve, FlowAssignment, FlowProblem};
 
 /// How the router picks a device for an arriving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

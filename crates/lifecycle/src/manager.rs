@@ -6,6 +6,7 @@ use models::LoadedModel;
 use simtime::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use trace::TraceKind;
 
 /// Identifies one version of one managed model: indexes into the manager's
 /// registry. `version` is 1-based, matching TF-Serving conventions.
@@ -43,76 +44,14 @@ pub enum Route {
     Wait,
 }
 
-/// A typed lifecycle event for the engine to translate into trace and
-/// telemetry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleEvent {
-    /// A version's weights started transferring to the device.
-    Load {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes allocated.
-        bytes: u64,
-        /// Simulated transfer latency.
-        latency: SimDuration,
-    },
-    /// One warm-up run of a freshly loaded version completed.
-    Warmup {
-        /// The version.
-        key: VersionKey,
-        /// Warm-up run ordinal (1-based).
-        run: u32,
-    },
-    /// An idle version was evicted to make room for a load.
-    Evicted {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes freed.
-        bytes: u64,
-    },
-    /// A draining version finished its last in-flight run and was
-    /// unloaded.
-    Unloaded {
-        /// The version.
-        key: VersionKey,
-        /// Weight bytes freed.
-        bytes: u64,
-    },
-    /// A version stopped accepting new runs and started draining.
-    Drain {
-        /// The version.
-        key: VersionKey,
-        /// Runs still in flight at drain start.
-        inflight: u32,
-    },
-    /// A canary candidate was promoted to the serving version.
-    Promote {
-        /// The candidate version.
-        key: VersionKey,
-        /// Candidate mean run latency, microseconds.
-        cand_us: u64,
-        /// Incumbent mean run latency, microseconds.
-        base_us: u64,
-    },
-    /// A canary candidate was rolled back (zero latencies mean it was
-    /// superseded by a newer publish before the canary completed).
-    Rollback {
-        /// The candidate version.
-        key: VersionKey,
-        /// Candidate mean run latency, microseconds.
-        cand_us: u64,
-        /// Incumbent mean run latency, microseconds.
-        base_us: u64,
-    },
-}
-
 /// Side effects of a manager call, for the engine to apply: typed events
-/// (→ trace/telemetry), parked clients to wake (→ retry their next run)
-/// and future instants at which [`LifecycleManager::tick`] must run.
+/// (recorded onto the engine's one event stream as they are), parked
+/// clients to wake (→ retry their next run) and future instants at which
+/// [`LifecycleManager::tick`] must run.
 #[derive(Debug, Clone, Default)]
 pub struct Effects {
-    /// Typed lifecycle events, in occurrence order.
-    pub events: Vec<LifecycleEvent>,
+    /// Typed events, in occurrence order.
+    pub events: Vec<TraceKind>,
     /// Parked clients to wake, in park order.
     pub wake: Vec<u32>,
     /// Instants at which the engine must call `tick`.
@@ -283,11 +222,6 @@ impl LifecycleManager {
         &self.models[key.model as usize].versions[key.version as usize - 1].model
     }
 
-    /// The served (deployment) name of this version's model.
-    pub fn model_name(&self, key: VersionKey) -> &str {
-        &self.models[key.model as usize].name
-    }
-
     /// Currently resident weight bytes across all managed versions.
     pub fn resident_bytes(&self) -> u64 {
         self.resident
@@ -343,11 +277,6 @@ impl LifecycleManager {
     /// The effective load bandwidth (GB/s), for router transfer estimates.
     pub fn load_gbps(&self) -> f64 {
         self.load_gbps
-    }
-
-    /// True when clients are parked waiting for deployment `mi`.
-    pub fn has_waiters(&self, mi: usize) -> bool {
-        !self.models[mi].waiters.is_empty()
     }
 
     /// Asks for the aspired version of deployment `mi` to become resident
@@ -576,8 +505,9 @@ impl LifecycleManager {
     ) {
         if let Some(old) = self.models[mi].candidate.take() {
             if old != vi {
-                fx.events.push(LifecycleEvent::Rollback {
-                    key: VersionKey { model: mi as u32, version: old as u32 + 1 },
+                fx.events.push(TraceKind::CanaryRollback {
+                    model: mi as u32,
+                    version: old as u32 + 1,
                     cand_us: 0,
                     base_us: 0,
                 });
@@ -662,16 +592,18 @@ impl LifecycleManager {
         if healthy {
             self.models[mi].serving = Some(c);
             self.models[mi].aspired = c;
-            fx.events.push(LifecycleEvent::Promote {
-                key,
+            fx.events.push(TraceKind::CanaryPromote {
+                model: key.model,
+                version: key.version,
                 cand_us: cand_ns / 1_000,
                 base_us: base_ns / 1_000,
             });
             self.begin_drain(mi, s, pool, fx);
         } else {
             self.models[mi].aspired = s;
-            fx.events.push(LifecycleEvent::Rollback {
-                key,
+            fx.events.push(TraceKind::CanaryRollback {
+                model: key.model,
+                version: key.version,
                 cand_us: cand_ns / 1_000,
                 base_us: base_ns / 1_000,
             });
@@ -707,8 +639,9 @@ impl LifecycleManager {
             VersionState::Warming => {
                 v.warmups_done += 1;
                 let done = v.warmups_done;
-                fx.events.push(LifecycleEvent::Warmup {
-                    key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
+                fx.events.push(TraceKind::WarmupRun {
+                    model: mi as u32,
+                    version: vi as u32 + 1,
                     run: done,
                 });
                 if done >= self.warmup_runs {
@@ -770,8 +703,9 @@ impl LifecycleManager {
         debug_assert_eq!(v.state, VersionState::Serving);
         v.state = VersionState::Draining;
         let inflight = v.inflight;
-        fx.events.push(LifecycleEvent::Drain {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
+        fx.events.push(TraceKind::Drain {
+            model: mi as u32,
+            version: vi as u32 + 1,
             inflight,
         });
         if inflight == 0 {
@@ -785,8 +719,9 @@ impl LifecycleManager {
         debug_assert_eq!(v.state, VersionState::Draining);
         debug_assert_eq!(v.inflight, 0);
         let bytes = self.release(mi, vi, pool);
-        fx.events.push(LifecycleEvent::Unloaded {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
+        fx.events.push(TraceKind::VersionUnload {
+            model: mi as u32,
+            version: vi as u32 + 1,
             bytes,
         });
     }
@@ -842,10 +777,10 @@ impl LifecycleManager {
                         self.resident,
                         self.budget
                     );
-                    fx.events.push(LifecycleEvent::Load {
-                        key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
+                    fx.events.push(TraceKind::VersionLoad {
+                        model: mi as u32,
+                        version: vi as u32 + 1,
                         bytes,
-                        latency,
                     });
                     fx.ticks.push(due);
                     return;
@@ -926,8 +861,9 @@ impl LifecycleManager {
             let batch = self.models[mi].versions[vi].model.batch();
             b.unbind(&self.vnames[mi][vi], batch);
         }
-        fx.events.push(LifecycleEvent::Evicted {
-            key: VersionKey { model: mi as u32, version: vi as u32 + 1 },
+        fx.events.push(TraceKind::Evict {
+            model: mi as u32,
+            version: vi as u32 + 1,
             bytes,
         });
         bytes
@@ -975,7 +911,7 @@ mod tests {
         pool: MemoryPool,
         now: SimTime,
         ticks: BTreeSet<SimTime>,
-        events: Vec<LifecycleEvent>,
+        events: Vec<TraceKind>,
         woken: Vec<u32>,
     }
 
@@ -1076,7 +1012,7 @@ mod tests {
         let warmups = sim
             .events
             .iter()
-            .filter(|e| matches!(e, LifecycleEvent::Warmup { .. }))
+            .filter(|e| matches!(e, TraceKind::WarmupRun { .. }))
             .count();
         assert_eq!(warmups, 2);
         // Woken client now gets a real issue.
@@ -1115,7 +1051,7 @@ mod tests {
         assert_eq!(sim.route("c", 2), Route::Wait);
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Evicted { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Evict { model: 0, version: 1, .. }
         )));
         sim.drain_ticks();
         assert_eq!(
@@ -1171,8 +1107,8 @@ mod tests {
         let victim = sim
             .events
             .iter()
-            .find_map(|e| match e {
-                LifecycleEvent::Evicted { key, .. } => Some(*key),
+            .find_map(|e| match *e {
+                TraceKind::Evict { model, version, .. } => Some(VersionKey { model, version }),
                 _ => None,
             })
             .expect("the third load must evict someone");
@@ -1290,14 +1226,14 @@ mod tests {
         sim.finish(ka, SimDuration::from_micros(50));
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Evicted { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::Evict { model: 0, version: 1, .. }
         )));
         sim.drain_ticks();
         assert_eq!(sim.mgr.state(kb), VersionState::Serving);
         assert_eq!(sim.woken, vec![0, 1]);
     }
 
-    fn canary_run(regressed: bool) -> (Vec<LifecycleEvent>, LifecycleManager) {
+    fn canary_run(regressed: bool) -> (Vec<TraceKind>, LifecycleManager) {
         // v2 publishes at 10 ms; healthy v2 matches v1's latency, the
         // regressed one reports 10× the latency.
         let plan = DeploymentPlan::new().with_model(
@@ -1328,7 +1264,7 @@ mod tests {
             };
             sim.finish(key, lat);
             let decided = sim.events.iter().any(|e| {
-                matches!(e, LifecycleEvent::Promote { .. } | LifecycleEvent::Rollback { .. })
+                matches!(e, TraceKind::CanaryPromote { .. } | TraceKind::CanaryRollback { .. })
             });
             if decided {
                 break;
@@ -1343,12 +1279,12 @@ mod tests {
         let (events, mgr) = canary_run(false);
         assert!(events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Promote { key: VersionKey { model: 0, version: 2 }, .. }
+            TraceKind::CanaryPromote { model: 0, version: 2, .. }
         )));
         // The old incumbent drained and unloaded (nothing was in flight).
         assert!(events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Unloaded { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::VersionUnload { model: 0, version: 1, .. }
         )));
         assert_eq!(mgr.state(VersionKey { model: 0, version: 2 }), VersionState::Serving);
     }
@@ -1358,9 +1294,9 @@ mod tests {
         let (events, mgr) = canary_run(true);
         let rolled = events
             .iter()
-            .find_map(|e| match e {
-                LifecycleEvent::Rollback { key, cand_us, base_us } => {
-                    Some((*key, *cand_us, *base_us))
+            .find_map(|e| match *e {
+                TraceKind::CanaryRollback { model, version, cand_us, base_us } => {
+                    Some((VersionKey { model, version }, cand_us, base_us))
                 }
                 _ => None,
             })
@@ -1393,7 +1329,7 @@ mod tests {
                 panic!("serving model must issue")
             };
             sim.finish(key, SimDuration::from_micros(200));
-            if sim.events.iter().any(|e| matches!(e, LifecycleEvent::Promote { .. })) {
+            if sim.events.iter().any(|e| matches!(e, TraceKind::CanaryPromote { .. })) {
                 break;
             }
         }
@@ -1401,13 +1337,13 @@ mod tests {
         assert!(!sim
             .events
             .iter()
-            .any(|e| matches!(e, LifecycleEvent::Unloaded { .. })));
+            .any(|e| matches!(e, TraceKind::VersionUnload { .. })));
         // The straggler finishes: only now does v1 unload.
         sim.finish(v1, SimDuration::from_micros(400));
         assert_eq!(sim.mgr.state(v1), VersionState::Unloaded);
         assert!(sim.events.iter().any(|e| matches!(
             e,
-            LifecycleEvent::Unloaded { key: VersionKey { model: 0, version: 1 }, .. }
+            TraceKind::VersionUnload { model: 0, version: 1, .. }
         )));
     }
 

@@ -1,7 +1,11 @@
-//! Client workload specification.
+//! Client workload specification, and the engine's per-session state.
 
+use crate::config::EngineConfig;
+use crate::report::{ClientOutcome, ClientReport};
+use crate::scheduler::{ClientId, JobId};
+use gpusim::Allocation;
 use models::LoadedModel;
-use simtime::{SimDuration, SimTime};
+use simtime::{DetRng, SimDuration, SimTime};
 
 /// One client: a stream of sequential `Session::Run` requests against a
 /// single model, mirroring the paper's workload ("each client submits 10
@@ -90,6 +94,96 @@ impl ClientSpec {
     pub fn validate(&self) {
         assert!(self.num_batches > 0, "client must send at least one batch");
         assert!(self.weight > 0, "weight must be at least 1");
+    }
+}
+
+/// One client's live session inside the engine: its spec, how far it got,
+/// where its runs execute and the seeded noise it drew at connect time.
+#[derive(Debug)]
+pub(crate) struct ClientState {
+    pub(crate) spec: ClientSpec,
+    /// Deployment index of the client's model in the residency plan,
+    /// resolved once at build time; `None` for unmanaged models.
+    pub(crate) deployment: Option<u32>,
+    pub(crate) outcome: Option<ClientOutcome>,
+    pub(crate) batches_done: u32,
+    pub(crate) current_job: Option<JobId>,
+    pub(crate) gang_limit: u32,
+    pub(crate) submit_factor: f64,
+    /// Which GPU this client's *current run* executes on. Outside cluster
+    /// mode this never changes after admission.
+    pub(crate) device: u32,
+    /// Which GPU holds this client's activation memory (fixed at
+    /// admission; cluster routing moves runs, not activations).
+    pub(crate) home: u32,
+    pub(crate) activations: Option<Allocation>,
+    pub(crate) run_finish_times: Vec<SimTime>,
+    pub(crate) run_gpu_durations: Vec<SimDuration>,
+    pub(crate) quantum_marks: Vec<(SimTime, SimDuration)>,
+    pub(crate) rng: DetRng,
+}
+
+impl ClientState {
+    pub(crate) fn new(spec: ClientSpec, max_gang: u32, rng: DetRng) -> Self {
+        ClientState {
+            spec,
+            deployment: None,
+            outcome: None,
+            batches_done: 0,
+            current_job: None,
+            gang_limit: max_gang,
+            submit_factor: 1.0,
+            device: 0,
+            home: 0,
+            activations: None,
+            run_finish_times: Vec::new(),
+            run_gpu_durations: Vec::new(),
+            quantum_marks: Vec::new(),
+            rng,
+        }
+    }
+
+    /// Draws the session's baseline nondeterminism when it connects: an
+    /// effective gang width (how many kernels it keeps in flight), a
+    /// submission latency factor and — returned, when its spread is on —
+    /// a driver arbitration bias.
+    pub(crate) fn draw_noise(&mut self, cfg: &EngineConfig) -> Option<f64> {
+        if cfg.min_effective_gang != cfg.max_gang {
+            let span = u64::from(cfg.max_gang - cfg.min_effective_gang + 1);
+            self.gang_limit = cfg.min_effective_gang + (self.rng.next_u64() % span) as u32;
+        }
+        if cfg.submit_latency_spread > 0.0 {
+            self.submit_factor = self.rng.lognormal(0.0, cfg.submit_latency_spread);
+        }
+        (cfg.driver_bias_spread > 0.0).then(|| self.rng.lognormal(0.0, cfg.driver_bias_spread))
+    }
+
+    /// Books a completed run: its finish time, GPU time and quanta.
+    pub(crate) fn run_completed(
+        &mut self,
+        now: SimTime,
+        gpu: SimDuration,
+        quanta: &[(SimTime, SimDuration)],
+    ) {
+        self.run_finish_times.push(now);
+        self.run_gpu_durations.push(gpu);
+        self.quantum_marks.extend_from_slice(quanta);
+        self.batches_done += 1;
+        self.current_job = None;
+    }
+
+    /// The finished session's report; a session still undecided stalled.
+    pub(crate) fn into_report(self, client: ClientId, total_gpu: SimDuration) -> ClientReport {
+        ClientReport {
+            client,
+            model_name: self.spec.model.name().to_string(),
+            batch: self.spec.model.batch(),
+            outcome: self.outcome.unwrap_or(ClientOutcome::Stalled),
+            run_finish_times: self.run_finish_times,
+            run_gpu_durations: self.run_gpu_durations,
+            quantum_marks: self.quantum_marks,
+            total_gpu,
+        }
     }
 }
 

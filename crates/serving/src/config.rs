@@ -138,6 +138,16 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// The factor every node's execution is inflated by: `1 +
+    /// profiling_inflation` while the online profiler runs, else 1.
+    pub(crate) fn profiling_factor(&self) -> f64 {
+        if self.online_profiling {
+            1.0 + self.profiling_inflation
+        } else {
+            1.0
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics

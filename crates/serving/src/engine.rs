@@ -27,15 +27,17 @@
 //! kernels the client keeps in flight) and a *submission latency factor*.
 //! Under Olympian both still exist but exclusive quanta mask them.
 
-use crate::client::ClientSpec;
+use crate::client::{ClientSpec, ClientState};
 use crate::config::EngineConfig;
+use crate::control::ControlRuntime;
+use crate::faults::FaultRuntime;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
+use crate::residency::{Issued, Move, ResidencyRuntime};
 use crate::scheduler::{ClientId, JobCtx, JobId, Scheduler, Verdict};
-use crate::trace::{ShedCause, SwitchReason, TraceBuffer, TraceKind};
+use crate::trace::{SwitchReason, TraceBuffer, TraceKind};
 use dataflow::{Graph, NodeId, Placement};
-use faults::{BreakerEvent, BreakerState, CircuitBreaker, FaultInjector, RetryPolicy};
 use gpusim::{Allocation, GpuDevice, JobTag, MemoryPool};
-use lifecycle::{Effects as LcEffects, LifecycleEvent, LifecycleManager, Route, VersionKey};
+use lifecycle::{Effects as LcEffects, Route};
 use simtime::{DetRng, SimDuration, SimTime, TimingWheel};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -78,101 +80,13 @@ enum Event {
     ClusterTick,
 }
 
-/// Live fault-injection state for one run: the seeded injector plus the
-/// recovery state machines the engine drives around it. Held in an
-/// `Option` so the fault-free hot path pays one predicted branch per hook.
-struct FaultRuntime {
-    injector: FaultInjector,
-    retry: RetryPolicy,
-    /// One breaker per client, indexed by `ClientId.0`.
-    breakers: Vec<CircuitBreaker>,
-    /// Failed submission attempts per (job id, node index); entries are
-    /// created on the first fault and cleared on success or job death.
-    attempts: HashMap<(u64, u32), u32>,
-    /// Consecutive failed admission attempts per client.
-    admit_attempts: Vec<u32>,
-    /// Backoff jitter stream, forked off the fault stream so jitter draws
-    /// never perturb fault verdicts.
-    retry_rng: DetRng,
-    /// Per device: a post-stall pump event is already scheduled.
-    stall_pump: Vec<bool>,
-}
-
-impl FaultRuntime {
-    fn new(cfg: &faults::FaultConfig, seed: u64, clients: usize, devices: usize) -> Self {
-        let mut injector = cfg.injector(seed);
-        let retry_rng = injector.retry_rng();
-        FaultRuntime {
-            injector,
-            retry: cfg.retry,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); clients],
-            attempts: HashMap::new(),
-            admit_attempts: vec![0; clients],
-            retry_rng,
-            stall_pump: vec![false; devices],
-        }
-    }
-}
-
-/// Live control-plane state for one run: the static configuration plus the
-/// degradation-ladder state machine. Held in an `Option` so the
-/// uncontrolled hot path pays one predicted branch per hook.
-struct ControlRuntime {
-    cfg: controlplane::ControlConfig,
-    machine: controlplane::DegradeMachine,
-}
-
-/// Live model-residency state for one run: one lifecycle manager per
-/// device — exactly one under `with_lifecycle`, one per fleet member under
-/// `with_cluster` — plus the router, which exists in fleet mode only.
-/// Lifecycle mode is a one-device fleet without a router: every managed
-/// run takes the same path (pick a device, route on its manager, report
-/// the completion back to it). Held in an `Option` so the unmanaged hot
-/// path pays one predicted branch per hook.
-struct ResidencyRuntime {
-    /// One manager per device, indexed like `Engine::devices`. Every
-    /// manager holds the same deployment plan, so version keys and
-    /// deployment indices agree across devices; residency is per device.
-    managers: Vec<LifecycleManager>,
-    fleet: Option<FleetRouter>,
-}
-
-/// The fleet-only part of [`ResidencyRuntime`]: the router's per-device
-/// drain estimates and the demand window the reconfiguration tick solves
-/// over.
-struct FleetRouter {
-    policy: cluster::RouterPolicy,
-    /// Reconfiguration cadence — the `ClusterTick` period.
-    tick: SimDuration,
-    cost: Option<Arc<dyn controlplane::CostOracle>>,
-    /// Lifecycle-parked clients: `client -> (device, estimated ns)`. The
-    /// estimate is charged to the device's queue while the client waits
-    /// for a load, and returned when it is woken and re-routed.
-    parked: HashMap<u32, (u32, u64)>,
-    /// Estimated not-yet-finished execute time per device, in ns — the
-    /// router's queue-drain term.
-    outstanding_ns: Vec<u64>,
-    /// Arrivals per model since the last reconfiguration tick.
-    window_demand: Vec<u64>,
-    /// Latest per-arrival execute estimate per model (ns at speed 1.0) —
-    /// the flow problem's cost basis for models seen this window.
-    exec_est: Vec<u64>,
-    /// Device speed factors, cached from the profiles.
-    speed: Vec<f64>,
-}
-
-/// Where a managed run was issued: `(device, version, estimated execute
-/// ns)`. The estimate is what the fleet router charged to the device's
-/// queue until the run finishes (0 outside fleet mode).
-type Issued = (u32, VersionKey, u64);
-
 /// Hot half of a job slot: every field the per-node dispatch and
 /// completion paths read or write. Kept in its own dense table
 /// (`Engine::job_hot`), separate from [`JobCold`], for two reasons:
 /// the hot loop's working set stays compact in cache, and the graph can be
 /// borrowed from the cold table while the hot row is mutably borrowed —
 /// which removes the per-node `Arc` clone the combined struct forced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct JobHot {
     client: ClientId,
     remaining_parents: Vec<u32>,
@@ -214,31 +128,14 @@ struct JobCold {
 
 impl JobHot {
     fn new(client: ClientId, graph: &Graph) -> Self {
-        let remaining_parents: Vec<u32> =
-            graph.node_ids().map(|id| graph.parent_count(id)).collect();
-        let ready: VecDeque<NodeId> = graph.roots().into();
-        let total_nodes = graph.node_count() as u32;
-        JobHot {
-            client,
-            remaining_parents,
-            ready,
-            done_nodes: 0,
-            total_nodes,
-            held: 0,
-            busy: 0,
-            resume_at: SimTime::ZERO,
-            resume_scheduled: false,
-            starving: false,
-            yield_blocked: false,
-            gpu_busy: SimDuration::ZERO,
-            quantum_acc: SimDuration::ZERO,
-            granted_at: SimTime::MAX,
-        }
+        let mut job = JobHot::default();
+        job.reset(client, graph);
+        job
     }
 
-    /// Re-initialises a recycled slot for a fresh run, reusing the
-    /// `remaining_parents` and `ready` allocations so steady-state serving
-    /// allocates nothing per run.
+    /// (Re-)initialises the slot for a fresh run. A recycled slot reuses
+    /// its `remaining_parents` and `ready` allocations, so steady-state
+    /// serving allocates nothing per run.
     fn reset(&mut self, client: ClientId, graph: &Graph) {
         self.remaining_parents.clear();
         self.remaining_parents
@@ -294,30 +191,6 @@ enum JobRef {
     /// Cancelled by a deadline; remembers the device index so stale kernel
     /// completions still pump the device.
     Cancelled(u32),
-}
-
-#[derive(Debug)]
-struct ClientState {
-    spec: ClientSpec,
-    /// Deployment index of the client's model in the residency plan,
-    /// resolved once at build time; `None` for unmanaged models.
-    deployment: Option<u32>,
-    outcome: Option<ClientOutcome>,
-    batches_done: u32,
-    current_job: Option<JobId>,
-    gang_limit: u32,
-    submit_factor: f64,
-    /// Which GPU this client's *current run* executes on. Outside cluster
-    /// mode this never changes after admission.
-    device: u32,
-    /// Which GPU holds this client's activation memory (fixed at
-    /// admission; cluster routing moves runs, not activations).
-    home: u32,
-    activations: Option<Allocation>,
-    run_finish_times: Vec<SimTime>,
-    run_gpu_durations: Vec<SimDuration>,
-    quantum_marks: Vec<(SimTime, SimDuration)>,
-    rng: DetRng,
 }
 
 pub(crate) struct Engine<'a> {
@@ -406,22 +279,7 @@ pub(crate) fn build_engine<'a>(
     let mut client_states: Vec<ClientState> = clients
         .into_iter()
         .enumerate()
-        .map(|(i, spec)| ClientState {
-            spec,
-            deployment: None,
-            outcome: None,
-            batches_done: 0,
-            current_job: None,
-            gang_limit: cfg.max_gang,
-            submit_factor: 1.0,
-            device: 0,
-            home: 0,
-            activations: None,
-            run_finish_times: Vec::new(),
-            run_gpu_durations: Vec::new(),
-            quantum_marks: Vec::new(),
-            rng: master_rng.fork(i as u64),
-        })
+        .map(|(i, spec)| ClientState::new(spec, cfg.max_gang, master_rng.fork(i as u64)))
         .collect();
 
     let mut profiles = vec![cfg.device.clone()];
@@ -439,52 +297,17 @@ pub(crate) fn build_engine<'a>(
         .faults
         .as_ref()
         .map(|f| FaultRuntime::new(f, cfg.seed, client_states.len(), devices.len()));
-    let control = cfg.control.as_ref().map(|c| ControlRuntime {
-        cfg: c.clone(),
-        machine: c.machine(),
-    });
-    // One manager per device. `validate` makes the two modes exclusive and
-    // keeps lifecycle mode on one device, so `memories` has exactly one
-    // pool there.
-    let plan = match (&cfg.lifecycle, &cfg.cluster) {
-        (Some(lc), _) => Some((lc, None)),
-        (None, Some(cc)) => Some((&cc.lifecycle, Some(cc))),
-        (None, None) => None,
-    };
-    let residency = plan.map(|(lc, fleet)| {
-        let managers: Vec<LifecycleManager> = memories
-            .iter()
-            .map(|m| {
-                LifecycleManager::new(lc, m.capacity())
-                    .unwrap_or_else(|e| panic!("invalid lifecycle config: {e}"))
-            })
-            .collect();
-        let n_models = managers[0].model_count();
-        ResidencyRuntime {
-            fleet: fleet.map(|cc| FleetRouter {
-                policy: cc.policy,
-                tick: cc.tick,
-                cost: cc.cost.clone(),
-                parked: HashMap::new(),
-                outstanding_ns: vec![0; managers.len()],
-                window_demand: vec![0; n_models],
-                exec_est: vec![0; n_models],
-                speed: profiles.iter().map(|p| p.speed_factor()).collect(),
-            }),
-            managers,
-        }
-    });
+    let control = cfg.control.as_ref().map(ControlRuntime::new);
+    let residency = ResidencyRuntime::new(cfg, &profiles, &memories);
     if let Some(rt) = &residency {
         for client in &mut client_states {
-            client.deployment = rt.managers[0]
-                .model_index(client.spec.model.name())
-                .map(|mi| mi as u32);
+            client.deployment = rt.deployment(client.spec.model.name());
         }
     }
     let telemetry = TelemetryHub::new(
         &cfg.telemetry,
         client_states.iter().map(|c| c.spec.model.name()),
-        residency.iter().flat_map(|rt| rt.managers[0].model_names()),
+        residency.iter().flat_map(ResidencyRuntime::model_names),
     );
     let telemetry_due = telemetry.next_due();
     let mut engine = Engine {
@@ -519,12 +342,10 @@ pub(crate) fn build_engine<'a>(
         event_count: 0,
     };
     // Schedule a lifecycle tick at every publish instant before any client
-    // starts, so version state is current at admission time. Publish
-    // schedules are identical on every device's manager, so one manager's
-    // startup ticks cover the whole fleet.
+    // starts, so version state is current at admission time.
     let mut startup_fx = LcEffects::default();
     if let Some(rt) = &engine.residency {
-        rt.managers[0].startup(&mut startup_fx);
+        rt.startup(&mut startup_fx);
     }
     engine.apply_lifecycle_effects(startup_fx);
     for i in 0..engine.clients.len() {
@@ -532,9 +353,7 @@ pub(crate) fn build_engine<'a>(
         engine.queue.schedule(at, Event::ClientStart(ClientId(i as u32)));
     }
     if let Some(rt) = &engine.control {
-        engine
-            .queue
-            .schedule(SimTime::ZERO + rt.cfg.tick, Event::ControlTick);
+        engine.queue.schedule(SimTime::ZERO + rt.period(), Event::ControlTick);
     }
     if let Some(cc) = cfg.cluster.as_ref().filter(|cc| cc.reconfigure) {
         engine.queue.schedule(SimTime::ZERO + cc.tick, Event::ClusterTick);
@@ -606,69 +425,66 @@ impl Engine<'_> {
 
     #[inline]
     fn step(&mut self, t: SimTime, event: Event) {
-        {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.event_count += 1;
-            assert!(
-                self.event_count <= self.cfg.max_events,
-                "event watchdog tripped after {} events at {} — engine or scheduler bug",
-                self.event_count,
-                self.now
-            );
-            // One predicted branch when telemetry is off (`telemetry_due`
-            // is `SimTime::MAX`); boundaries are emitted lazily, *before*
-            // the first event at or past them, so snapshots capture the
-            // state as of the boundary instant.
-            if t >= self.telemetry_due {
-                self.telemetry_tick();
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        self.event_count += 1;
+        assert!(
+            self.event_count <= self.cfg.max_events,
+            "event watchdog tripped after {} events at {} — engine or scheduler bug",
+            self.event_count,
+            self.now
+        );
+        // One predicted branch when telemetry is off (`telemetry_due`
+        // is `SimTime::MAX`); boundaries are emitted lazily, *before*
+        // the first event at or past them, so snapshots capture the
+        // state as of the boundary instant.
+        if t >= self.telemetry_due {
+            self.telemetry_tick();
+        }
+        match event {
+            Event::ClientStart(c) => self.client_start(c),
+            Event::NextBatch(c) => self.start_run(c),
+            Event::SubmitKernel { job, node } => self.submit_kernel(job, node),
+            Event::NodeDone { job, node, gpu } => self.node_done(job, node, gpu),
+            Event::RunDeadline(job) => {
+                if let Some(slot) = self.live_slot(job) {
+                    let c = self.job_hot[slot].client;
+                    self.record(TraceKind::DeadlineCancelled { job: job.0, client: c.0 });
+                    self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(self.now));
+                }
             }
-            match event {
-                Event::ClientStart(c) => self.client_start(c),
-                Event::NextBatch(c) => self.start_run(c),
-                Event::SubmitKernel { job, node } => self.submit_kernel(job, node),
-                Event::NodeDone { job, node, gpu } => self.node_done(job, node, gpu),
-                Event::RunDeadline(job) => {
-                    if self.live_slot(job).is_some() {
-                        self.cancel_job(job);
-                    }
+            Event::ResumeJob(job) => {
+                if let Some(slot) = self.live_slot(job) {
+                    self.job_hot[slot].resume_scheduled = false;
                 }
-                Event::ResumeJob(job) => {
-                    if let Some(slot) = self.live_slot(job) {
-                        self.job_hot[slot].resume_scheduled = false;
-                    }
-                    self.dispatch(job);
+                self.dispatch(job);
+            }
+            Event::SchedTimer(gen) => {
+                if gen == self.timer_gen {
+                    let verdict = self.scheduler.on_timer(self.now);
+                    self.apply_verdict(verdict);
                 }
-                Event::SchedTimer(gen) => {
-                    if gen == self.timer_gen {
-                        let verdict = self.scheduler.on_timer(self.now);
-                        self.apply_verdict(verdict);
-                        self.schedule_timer();
-                    }
+            }
+            Event::RetryKernel { job, node } => {
+                if self.live_slot(job).is_some() {
+                    self.submit_kernel(job, node);
+                } else if let Some(fr) = self.faults.as_mut() {
+                    fr.forget(job.0, node);
                 }
-                Event::RetryKernel { job, node } => {
-                    if self.live_slot(job).is_some() {
-                        self.submit_kernel(job, node);
-                    } else if let Some(fr) = self.faults.as_mut() {
-                        // The job died (deadline or shed) while the retry
-                        // was pending; drop its attempt bookkeeping.
-                        fr.attempts.remove(&(job.0, node.index() as u32));
-                    }
+            }
+            Event::PumpDevice(dev) => {
+                if let Some(fr) = self.faults.as_mut() {
+                    fr.stall_ended(dev as usize);
                 }
-                Event::PumpDevice(dev) => {
-                    if let Some(fr) = self.faults.as_mut() {
-                        fr.stall_pump[dev as usize] = false;
-                    }
-                    self.pump_device(dev as usize);
-                }
-                Event::RetryAdmit(c) => self.retry_admit(c),
-                Event::LifecycleTick => self.lifecycle_tick(),
-                Event::ControlTick => self.control_tick(),
-                Event::ClusterTick => self.cluster_tick(),
-                Event::PoolGrant(n) => {
-                    self.pool_idle += n;
-                    self.wake_starving();
-                }
+                self.pump_device(dev as usize);
+            }
+            Event::RetryAdmit(c) => self.retry_admit(c),
+            Event::LifecycleTick => self.lifecycle_tick(),
+            Event::ControlTick => self.control_tick(),
+            Event::ClusterTick => self.cluster_tick(),
+            Event::PoolGrant(n) => {
+                self.pool_idle += n;
+                self.wake_starving();
             }
         }
     }
@@ -676,38 +492,12 @@ impl Engine<'_> {
     // ---- client lifecycle -------------------------------------------------
 
     fn client_start(&mut self, c: ClientId) {
-        // Admission gate: in the ladder's Shedding state new sessions are
-        // refused outright — the cheapest load to serve is load never
-        // admitted.
-        if self
-            .control
-            .as_ref()
-            .is_some_and(|rt| rt.machine.state() == controlplane::DegradeState::Shedding)
-        {
+        if self.control.as_ref().is_some_and(ControlRuntime::sheds_admissions) {
             self.record(TraceKind::AdmissionShed { client: c.0 });
             self.settle(c, ClientOutcome::AdmissionShed { at: self.now });
             return;
         }
-        let cfg = &self.cfg;
-        let client = &mut self.clients[c.0 as usize];
-        client.gang_limit = if cfg.min_effective_gang == cfg.max_gang {
-            cfg.max_gang
-        } else {
-            cfg.min_effective_gang
-                + (client.rng.next_u64() % (cfg.max_gang - cfg.min_effective_gang + 1) as u64)
-                    as u32
-        };
-        client.submit_factor = if cfg.submit_latency_spread > 0.0 {
-            client.rng.lognormal(0.0, cfg.submit_latency_spread)
-        } else {
-            1.0
-        };
-
-        let bias = if cfg.driver_bias_spread > 0.0 {
-            Some(client.rng.lognormal(0.0, cfg.driver_bias_spread))
-        } else {
-            None
-        };
+        let bias = self.clients[c.0 as usize].draw_noise(&self.cfg);
         // Place the client's model instance on the device with the most
         // free memory (deterministic lowest-index tie-break) — how a
         // serving deployment spreads servables across GPUs.
@@ -729,8 +519,16 @@ impl Engine<'_> {
     /// parks the client in the admission queue (queued admission) or
     /// rejects it outright (the default, TF-Serving's behaviour).
     fn try_admit(&mut self, c: ClientId, dev: u32) -> bool {
-        if self.faults.is_some() && self.alloc_fault_fired(c) {
-            // A retry (or a terminal shed) is already arranged.
+        if let Some(failure) = self.faults.as_mut().and_then(|fr| fr.admit(c.0, self.now)) {
+            // The reservation failed transiently: retry after the backoff,
+            // or shed the client once the budget is spent.
+            for kind in failure.events {
+                self.record(kind);
+            }
+            match failure.next {
+                Ok(at) => self.queue.schedule(at, Event::RetryAdmit(c)),
+                Err(outcome) => self.settle(c, outcome),
+            }
             return false;
         }
         let client = &self.clients[c.0 as usize];
@@ -767,12 +565,18 @@ impl Engine<'_> {
         }
     }
 
-    /// Ends session `c` with `outcome`. Every outcome is set here, so the
-    /// `undecided` count stays exact.
+    /// Ends session `c` with `outcome`, then frees its activation memory
+    /// (on its home device, which may differ from the routed one) for
+    /// queued clients. Every outcome is set here, so the `undecided` count
+    /// stays exact.
     fn settle(&mut self, c: ClientId, outcome: ClientOutcome) {
-        let slot = &mut self.clients[c.0 as usize].outcome;
-        if slot.replace(outcome).is_none() {
+        let client = &mut self.clients[c.0 as usize];
+        if client.outcome.replace(outcome).is_none() {
             self.undecided -= 1;
+        }
+        if let Some(a) = client.activations.take() {
+            self.memories[client.home as usize].free(a);
+            self.pump_admission();
         }
     }
 
@@ -796,55 +600,6 @@ impl Engine<'_> {
                 available: e.available,
             });
         }
-    }
-
-    /// Draws the transient reservation-failure verdict for this admission
-    /// attempt. When it fires, schedules a deterministic backoff
-    /// re-admission — or sheds the client once the retry budget is spent —
-    /// and returns true (the caller must not touch the memory pool).
-    fn alloc_fault_fired(&mut self, c: ClientId) -> bool {
-        let now = self.now;
-        let fr = self.faults.as_mut().expect("fault path entered with faults on");
-        if !fr.injector.alloc_fails(now) {
-            fr.admit_attempts[c.0 as usize] = 0;
-            return false;
-        }
-        let attempt = {
-            let a = &mut fr.admit_attempts[c.0 as usize];
-            *a += 1;
-            *a
-        };
-        let retry_at = fr.retry.next_retry_at(now, attempt - 1, None, &mut fr.retry_rng);
-        self.record(TraceKind::AllocFault { client: c.0, attempt });
-        match retry_at {
-            Some(at) => {
-                // `job == u64::MAX` / `node == u32::MAX` mark an admission
-                // retry on the trace (there is no job yet).
-                self.record(TraceKind::RetryScheduled {
-                    job: u64::MAX,
-                    client: c.0,
-                    node: u32::MAX,
-                    attempt,
-                    delay: at - now,
-                });
-                self.queue.schedule(at, Event::RetryAdmit(c));
-            }
-            None => {
-                self.record(TraceKind::BreakerTransition {
-                    client: c.0,
-                    state: "shed",
-                    shed: Some(ShedCause::RetriesExhausted(attempt)),
-                });
-                self.settle(
-                    c,
-                    ClientOutcome::RetriesExhausted {
-                        at: now,
-                        attempts: attempt,
-                    },
-                );
-            }
-        }
-        true
     }
 
     /// Re-attempts a faulted admission after its backoff elapsed. A client
@@ -890,9 +645,7 @@ impl Engine<'_> {
 
     fn start_run(&mut self, c: ClientId) {
         // Residency routing: a managed model's run resolves its version at
-        // issue time on the picked device. A `Wait` parks the client inside
-        // that device's manager; it is woken (via `Effects::wake`) once a
-        // version starts serving.
+        // issue time on the picked device.
         let issued = match self.clients[c.0 as usize].deployment {
             Some(mi) => match self.route_managed(c, mi as usize) {
                 Some(issued) => Some(issued),
@@ -901,35 +654,19 @@ impl Engine<'_> {
             None => None,
         };
         let job_id = JobId(self.job_refs.len() as u64);
+        let client = &self.clients[c.0 as usize];
         // A routed run executes the *version's* graph and registers under
         // its versioned name, so per-version profiles drive scheduling.
-        // Every device's manager holds the same plan, so manager 0 resolves
-        // any issued key's model.
-        let plan = self.residency.as_ref().map(|rt| &rt.managers[0]);
-        let graph = match issued {
-            Some((_, key, _)) => Arc::clone(plan.expect("issued without managers").version_model(key).graph()),
-            None => Arc::clone(self.clients[c.0 as usize].spec.model.graph()),
+        let (graph, model_name) = match (issued, &self.residency) {
+            (Some((_, key, _)), Some(rt)) => rt.version(key),
+            _ => (client.spec.model.graph(), client.spec.model.name()),
         };
-        // Degradation ladder: past Healthy, runs are metered at a shrunk
-        // batch hint — the resolved profile's smaller costs buy shorter
-        // quanta and earlier thresholds while the graph itself is
-        // unchanged.
-        let divisor = self.control.as_ref().and_then(|rt| {
-            (rt.machine.state() != controlplane::DegradeState::Healthy)
-                .then_some(rt.cfg.batch_divisor)
-        });
-        let client = &self.clients[c.0 as usize];
+        let graph = Arc::clone(graph);
         let full_batch = client.spec.model.batch();
-        let batch = match divisor {
-            Some(d) => (full_batch / d).max(1),
-            None => full_batch,
-        };
+        let batch = self.control.as_ref().map_or(full_batch, |rt| rt.batch(full_batch));
         let ctx = JobCtx {
             client: c,
-            model_name: match issued {
-                Some((_, key, _)) => plan.expect("issued without managers").versioned_name(key),
-                None => client.spec.model.name(),
-            },
+            model_name,
             batch,
             weight: client.spec.weight,
             priority: client.spec.priority,
@@ -963,16 +700,14 @@ impl Engine<'_> {
                 cold.started_at = self.now;
                 cold.issued = issued;
                 self.job_refs.push(JobRef::Live(slot));
-                if let (Some((dev, _, est)), Some(f)) = (issued, self.fleet_mut()) {
-                    f.outstanding_ns[dev as usize] += est;
+                if let (Some(issued), Some(rt)) = (issued, &mut self.residency) {
+                    rt.charge(issued);
                 }
                 self.clients[c.0 as usize].current_job = Some(job_id);
                 if let Some(deadline) = self.clients[c.0 as usize].spec.run_deadline {
-                    self.queue
-                        .schedule(self.now + deadline, Event::RunDeadline(job_id));
+                    self.queue.schedule(self.now + deadline, Event::RunDeadline(job_id));
                 }
                 self.apply_verdict(verdict);
-                self.schedule_timer();
                 self.dispatch(job_id);
             }
             Err(e) => {
@@ -980,12 +715,6 @@ impl Engine<'_> {
                 // table dense.
                 self.job_refs.push(JobRef::Dead);
                 self.settle(c, ClientOutcome::RejectedByScheduler(e.to_string()));
-                let client = &mut self.clients[c.0 as usize];
-                let home = client.home as usize;
-                if let Some(a) = client.activations.take() {
-                    self.memories[home].free(a);
-                    self.pump_admission();
-                }
                 if let Some((dev, key, _)) = issued {
                     // The issue never became a job: return the version's
                     // in-flight credit (no latency observation). Nothing
@@ -999,49 +728,25 @@ impl Engine<'_> {
     fn complete_run(&mut self, job_id: JobId) {
         let slot = self.live_slot(job_id).expect("completing a live job");
         self.job_refs[job_id.0 as usize] = JobRef::Dead;
-        let (held, c, gpu_busy, final_quantum, started_at, issued) = {
-            let job = &mut self.job_hot[slot];
-            let cold = &mut self.job_cold[slot];
-            debug_assert_eq!(job.busy, 0, "no in-flight work at completion");
-            let mut flushed = None;
-            if job.quantum_acc > SimDuration::ZERO {
-                let acc = std::mem::take(&mut job.quantum_acc);
-                cold.quanta.push((self.now, acc));
-                flushed = Some(acc);
-            }
-            (
-                std::mem::take(&mut job.held),
-                job.client,
-                job.gpu_busy,
-                flushed,
-                cold.started_at,
-                cold.issued.take(),
-            )
-        };
+        let job = &mut self.job_hot[slot];
+        debug_assert_eq!(job.busy, 0, "no in-flight work at completion");
+        let (c, held, gpu_busy) = (job.client, std::mem::take(&mut job.held), job.gpu_busy);
+        let final_quantum = self.flush_quantum(slot);
+        let cold = &mut self.job_cold[slot];
+        let (started_at, issued) = (cold.started_at, cold.issued.take());
         // Return the whole gang to the pool.
-        if held > 0 {
-            self.pool_idle += held;
-            self.wake_starving();
-        }
+        self.release_workers(held);
         if let Some(acc) = final_quantum {
             self.record(TraceKind::QuantumEnd { job: job_id.0, client: c.0, gpu: acc });
         }
         self.record(TraceKind::RunCompleted { job: job_id.0, client: c.0 });
-        {
-            let cold = &self.job_cold[slot];
-            let client = &mut self.clients[c.0 as usize];
-            client.run_finish_times.push(self.now);
-            client.run_gpu_durations.push(gpu_busy);
-            client.quantum_marks.extend(cold.quanta.iter().copied());
-            client.batches_done += 1;
-            client.current_job = None;
-        }
+        let quanta = &self.job_cold[slot].quanta;
+        self.clients[c.0 as usize].run_completed(self.now, gpu_busy, quanta);
         // Recycle the slot *before* any nested `start_run` below, so the
         // client's next batch reuses this run's buffers.
         self.free_slots.push(slot as u32);
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
-        self.schedule_timer();
         if let Some(issued) = issued {
             self.run_finished(issued, Some(self.now - started_at));
         }
@@ -1049,53 +754,14 @@ impl Engine<'_> {
         if client.batches_done < client.spec.num_batches {
             if client.spec.think_time > SimDuration::ZERO {
                 // Bursty client: idle between batches (paper §1).
-                self.queue.schedule(
-                    self.now + client.spec.think_time,
-                    Event::NextBatch(c),
-                );
+                self.queue.schedule(self.now + client.spec.think_time, Event::NextBatch(c));
             } else {
                 self.start_run(c);
             }
         } else {
-            self.settle(c, ClientOutcome::Finished(self.now));
-            // The session is over: release its activation memory so queued
-            // clients (and the peak-memory metric) see the truth.
-            let client = &mut self.clients[c.0 as usize];
-            let dev = client.home as usize;
-            let freed = client.activations.take();
             self.record(TraceKind::ClientFinished { client: c.0 });
-            if let Some(a) = freed {
-                self.memories[dev].free(a);
-                self.pump_admission();
-            }
+            self.settle(c, ClientOutcome::Finished(self.now));
         }
-    }
-
-    /// Cancels a live job whose deadline elapsed.
-    fn cancel_job(&mut self, job_id: JobId) {
-        let slot = self.live_slot(job_id).expect("cancelling a live job");
-        let c = self.job_hot[slot].client;
-        self.record(TraceKind::DeadlineCancelled { job: job_id.0, client: c.0 });
-        self.teardown_job(job_id, c, ClientOutcome::DeadlineExceeded(self.now));
-    }
-
-    /// Terminates a persistently failing client's session: the recovery
-    /// layer gave up (retry budget spent, or the circuit breaker's trip
-    /// budget spent), so its live job is torn down like a deadline
-    /// cancellation and the session ends with `outcome`.
-    fn shed_client(
-        &mut self,
-        c: ClientId,
-        job_id: JobId,
-        outcome: ClientOutcome,
-        cause: ShedCause,
-    ) {
-        self.record(TraceKind::BreakerTransition {
-            client: c.0,
-            state: "shed",
-            shed: Some(cause),
-        });
-        self.teardown_job(job_id, c, outcome);
     }
 
     /// Shared teardown for deadline cancellations and fault-recovery sheds:
@@ -1130,84 +796,49 @@ impl Engine<'_> {
             }
         }
         // The gang's threads observe the cancellation and return.
-        if held > 0 {
-            self.pool_idle += held;
-            self.wake_starving();
-        }
+        self.release_workers(held);
         let verdict = self.scheduler.deregister(job_id, self.now);
         self.apply_verdict(verdict);
-        self.schedule_timer();
         if let Some(issued) = issued {
             // Cancelled runs report no latency: they must not skew the
             // canary statistics.
             self.run_finished(issued, None);
         }
-        // Abort the whole session and release its memory (activations live
-        // on the home device, which may differ from the routed one).
+        // Abort the whole session.
+        self.clients[c.0 as usize].current_job = None;
         self.settle(c, outcome);
-        let client = &mut self.clients[c.0 as usize];
-        client.current_job = None;
-        let home = client.home as usize;
-        if let Some(a) = client.activations.take() {
-            self.memories[home].free(a);
-            self.pump_admission();
-        }
     }
 
-    // ---- model lifecycle --------------------------------------------------
+    // ---- model residency ------------------------------------------------
 
-    /// The fleet router, when the residency runtime has one.
-    fn fleet_mut(&mut self) -> Option<&mut FleetRouter> {
-        self.residency.as_mut().and_then(|rt| rt.fleet.as_mut())
-    }
-
-    /// Advances every device manager's time-driven transitions (publishes,
-    /// load completions, warm-up runs), in device order, applying each
-    /// device's effects before the next ticks.
+    /// Advances every device manager's time-driven transitions, in device
+    /// order, applying each device's effects before the next ticks.
     fn lifecycle_tick(&mut self) {
-        const MANAGED: &str = "lifecycle ticks are scheduled only with managers";
-        let n = self.residency.as_ref().expect(MANAGED).managers.len();
-        for d in 0..n {
+        let devices = self.residency.as_ref().map_or(0, ResidencyRuntime::devices);
+        for d in 0..devices {
             let mut fx = LcEffects::default();
-            let mgr = &mut self.residency.as_mut().expect(MANAGED).managers[d];
-            mgr.tick(self.now, &mut self.memories[d], &mut fx);
+            if let Some(rt) = &mut self.residency {
+                rt.tick(d, self.now, &mut self.memories[d], &mut fx);
+            }
             self.apply_lifecycle_effects(fx);
         }
     }
 
-    /// Routes one run of deployment `mi` for client `c`: picks a device
-    /// (the router in fleet mode, the single device otherwise) and
-    /// resolves the version on that device's manager. Past Healthy, the
-    /// control plane's ladder resolves to the cheapest serving version —
-    /// trading answer fidelity for GPU time. Returns `None` when the
-    /// client parked to wait for a load.
+    /// Routes one run of deployment `mi` for client `c`. Returns `None`
+    /// when the client parked inside the picked device's manager; it is
+    /// woken (via `Effects::wake`) once a version starts serving there.
     fn route_managed(&mut self, c: ClientId, mi: usize) -> Option<Issued> {
-        let (dev, est_ns) = if self.fleet_mut().is_some() {
-            self.fleet_pick(c, mi)
-        } else {
-            (0, 0)
-        };
-        let degraded = self
-            .control
-            .as_ref()
-            .is_some_and(|rt| rt.machine.state() != controlplane::DegradeState::Healthy);
+        let rt = self.residency.as_mut()?;
+        let degraded = self.control.as_ref().is_some_and(ControlRuntime::degraded);
+        let model = &self.clients[c.0 as usize].spec.model;
         let mut fx = LcEffects::default();
-        let route = {
-            let rt = self.residency.as_mut().expect("a deployment index implies managers");
-            let mgr = &mut rt.managers[dev as usize];
-            let pool = &mut self.memories[dev as usize];
-            if degraded {
-                mgr.route_cheapest(mi, c.0, self.now, pool, &mut fx)
-            } else {
-                mgr.route(mi, c.0, self.now, pool, &mut fx)
-            }
-        };
+        let (route, dev, est_ns) =
+            rt.route(c.0, mi, model, degraded, self.now, &mut self.memories, &mut fx);
         self.apply_lifecycle_effects(fx);
         match route {
             Route::Wait => {
-                if let Some(f) = self.fleet_mut() {
-                    f.parked.insert(c.0, (dev, est_ns));
-                    f.outstanding_ns[dev as usize] += est_ns;
+                if let Some(rt) = &mut self.residency {
+                    rt.park(c.0, dev, est_ns);
                 }
                 self.record(TraceKind::LifecycleWait { client: c.0 });
                 None
@@ -1220,85 +851,28 @@ impl Engine<'_> {
     }
 
     /// Reports a managed run's end (`latency == None` for cancelled or
-    /// never-started runs) to the manager of the device it was issued on,
-    /// returns its queue charge to the fleet router, and applies the
-    /// effects: canary decisions, drain completions and retried loads.
-    fn run_finished(&mut self, (dev, key, charged_ns): Issued, latency: Option<SimDuration>) {
-        let d = dev as usize;
-        let rt = self.residency.as_mut().expect("an issued run implies managers");
-        if let Some(f) = rt.fleet.as_mut() {
-            f.outstanding_ns[d] = f.outstanding_ns[d].saturating_sub(charged_ns);
-        }
+    /// never-started runs) and applies the effects: canary decisions,
+    /// drain completions and retried loads.
+    fn run_finished(&mut self, issued: Issued, latency: Option<SimDuration>) {
         let mut fx = LcEffects::default();
-        rt.managers[d].run_finished(key, self.now, latency, &mut self.memories[d], &mut fx);
+        if let Some(rt) = &mut self.residency {
+            rt.run_finished(issued, latency, self.now, &mut self.memories, &mut fx);
+        }
         self.apply_lifecycle_effects(fx);
     }
 
-    /// Translates manager effects into engine actions: typed events onto
-    /// the trace and telemetry, future ticks onto the event queue, parked
-    /// clients back into `start_run`, and — after any unload or eviction —
-    /// a queued-admission pump over the freed memory.
+    /// Applies residency effects: events onto the stream as they are,
+    /// future ticks onto the event queue, parked clients back into
+    /// `start_run`, and — after any unload or eviction — a
+    /// queued-admission pump over the freed memory.
     fn apply_lifecycle_effects(&mut self, fx: LcEffects) {
         if fx.is_empty() {
             return;
         }
         let mut freed = false;
-        for ev in &fx.events {
-            match *ev {
-                LifecycleEvent::Load { key, bytes, latency: _ } => {
-                    self.record(TraceKind::VersionLoad {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                }
-                LifecycleEvent::Warmup { key, run } => {
-                    self.record(TraceKind::WarmupRun {
-                        model: key.model,
-                        version: key.version,
-                        run,
-                    });
-                }
-                LifecycleEvent::Evicted { key, bytes } => {
-                    self.record(TraceKind::Evict {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                    freed = true;
-                }
-                LifecycleEvent::Unloaded { key, bytes } => {
-                    self.record(TraceKind::VersionUnload {
-                        model: key.model,
-                        version: key.version,
-                        bytes,
-                    });
-                    freed = true;
-                }
-                LifecycleEvent::Drain { key, inflight } => {
-                    self.record(TraceKind::Drain {
-                        model: key.model,
-                        version: key.version,
-                        inflight,
-                    });
-                }
-                LifecycleEvent::Promote { key, cand_us, base_us } => {
-                    self.record(TraceKind::CanaryPromote {
-                        model: key.model,
-                        version: key.version,
-                        cand_us,
-                        base_us,
-                    });
-                }
-                LifecycleEvent::Rollback { key, cand_us, base_us } => {
-                    self.record(TraceKind::CanaryRollback {
-                        model: key.model,
-                        version: key.version,
-                        cand_us,
-                        base_us,
-                    });
-                }
-            }
+        for kind in fx.events {
+            freed |= matches!(kind, TraceKind::Evict { .. } | TraceKind::VersionUnload { .. });
+            self.record(kind);
         }
         for t in fx.ticks {
             self.queue.schedule(t.max(self.now), Event::LifecycleTick);
@@ -1311,188 +885,37 @@ impl Engine<'_> {
         }
     }
 
-    // ---- fleet orchestration ----------------------------------------------
-
-    /// The fleet router's device pick for one arriving run of deployment
-    /// `mi`: estimates each device's cost (queued work +
-    /// transfer-if-load-needed + profile-scaled execute) and picks the
-    /// cheapest (lowest index on ties). Returns the device and the run's
-    /// execute estimate there.
-    fn fleet_pick(&mut self, c: ClientId, mi: usize) -> (u32, u64) {
-        let spec = &self.clients[c.0 as usize].spec;
-        let rt = self.residency.as_mut().expect("a deployment index implies managers");
-        let f = rt.fleet.as_mut().expect("fleet pick only with a router");
-        // Whole-run GPU estimate at speed 1.0: the oracle's figure when
-        // bound, else the graph's summed kernel durations.
-        let base_ns = f
-            .cost
-            .as_ref()
-            .and_then(|o| o.expected_gpu_ns(spec.model.name(), spec.model.batch()))
-            .unwrap_or_else(|| {
-                let g = spec.model.graph();
-                g.node_ids()
-                    .filter(|&id| g.node(id).placement() == Placement::Gpu)
-                    .map(|id| g.node(id).duration().as_nanos())
-                    .sum()
-            });
-        // A woken client re-routes from scratch: return its parked charge.
-        let parked_dev = f.parked.remove(&c.0).map(|(pd, pest)| {
-            f.outstanding_ns[pd as usize] = f.outstanding_ns[pd as usize].saturating_sub(pest);
-            pd
-        });
-        if parked_dev.is_none() {
-            // Demand is counted once per arrival, not per wake-up.
-            f.window_demand[mi] += 1;
-        }
-        f.exec_est[mi] = base_ns;
-        let (dev, est_ns, cost_ns) = match f.policy {
-            cluster::RouterPolicy::Static => {
-                let d = mi % rt.managers.len();
-                let est = cluster::scaled_execute_ns(base_ns, f.speed[d]);
-                (d as u32, est, est)
-            }
-            cluster::RouterPolicy::CostAware => {
-                let ests: Vec<cluster::DeviceEstimate> = (0..rt.managers.len())
-                    .map(|d| {
-                        let m = &rt.managers[d];
-                        cluster::DeviceEstimate {
-                            queued_ns: f.outstanding_ns[d],
-                            resident: m.serving_version(mi).is_some(),
-                            loading: m.is_loading(mi),
-                            transfer_ns: MemoryPool::transfer_time(
-                                m.aspired_weights_bytes(mi),
-                                m.load_gbps(),
-                            )
-                            .as_nanos(),
-                            execute_ns: cluster::scaled_execute_ns(base_ns, f.speed[d]),
-                        }
-                    })
-                    .collect();
-                let d = cluster::pick_device(&ests);
-                (d as u32, ests[d].execute_ns, ests[d].cost_ns())
-            }
-        };
-        // A wake credit granted on a device the run no longer routes to
-        // must be returned, or that version stays pinned forever.
-        if let Some(pd) = parked_dev.filter(|&pd| pd != dev) {
-            rt.managers[pd as usize].cancel_wake_credit(mi);
-        }
-        self.record(TraceKind::ClusterRoute {
-            client: c.0,
-            device: dev,
-            cost_us: cost_ns / 1_000,
-        });
-        (dev, est_ns)
-    }
-
-    /// One reconfiguration tick: solve the demand window's min-cost flow
-    /// and execute the plan, then re-arm while any session is undecided.
+    /// One fleet reconfiguration tick: solve the demand window's min-cost
+    /// flow, drive the plan through the per-device managers (applying each
+    /// command's effects before the next), then re-arm while any session is
+    /// undecided.
     fn cluster_tick(&mut self) {
         let now = self.now;
-        let (loads, drains) = self.cluster_reconfigure();
+        let Some((period, moves)) = self.residency.as_mut().and_then(ResidencyRuntime::plan)
+        else {
+            return;
+        };
+        let (mut loads, mut drains) = (0u32, 0u32);
+        for mv in moves {
+            let mut fx = LcEffects::default();
+            let rt = self.residency.as_mut();
+            let done = rt.is_some_and(|rt| rt.execute(mv, now, &mut self.memories, &mut fx));
+            self.apply_lifecycle_effects(fx);
+            match mv {
+                Move::Load { .. } => loads += u32::from(done),
+                Move::Drain { model, from, to } if done => {
+                    drains += 1;
+                    self.record(TraceKind::ClusterMigrate { model, from, to });
+                }
+                Move::Drain { .. } => {}
+            }
+        }
         if loads > 0 || drains > 0 {
             self.record(TraceKind::ClusterReconfig { loads, drains });
         }
-        let tick = self.fleet_mut().expect("cluster tick without a router").tick;
         if self.undecided > 0 {
-            self.queue.schedule(now + tick, Event::ClusterTick);
+            self.queue.schedule(now + period, Event::ClusterTick);
         }
-    }
-
-    /// Solves the window's model-demand → device-capacity min-cost flow
-    /// and drives the plan through the per-device lifecycle managers:
-    /// loads where flow lands on a cold device, drains where a resident
-    /// replica receives no flow. Returns `(accepted loads, accepted
-    /// drains)`. Device capacities are run units proportional to relative
-    /// speed (ceiling division, so aggregate capacity covers demand).
-    fn cluster_reconfigure(&mut self) -> (u32, u32) {
-        const FLEET: &str = "cluster ticks are scheduled only in fleet mode";
-        let now = self.now;
-        let problem = {
-            let rt = self.residency.as_mut().expect(FLEET);
-            let f = rt.fleet.as_mut().expect(FLEET);
-            let n_models = f.window_demand.len();
-            let n_devs = rt.managers.len();
-            let demands = std::mem::replace(&mut f.window_demand, vec![0; n_models]);
-            let total: u64 = demands.iter().sum();
-            if total == 0 {
-                return (0, 0);
-            }
-            let speed_ppm: Vec<u64> = f.speed.iter().map(|s| (s * 1e6) as u64).collect();
-            let sum_ppm: u64 = speed_ppm.iter().sum();
-            let capacities: Vec<u64> = speed_ppm
-                .iter()
-                .map(|&p| (total * p).div_ceil(sum_ppm))
-                .collect();
-            // Per-unit cost in µs: the transfer a load would pay, plus the
-            // profile-scaled execute estimate from this window's arrivals.
-            let costs: Vec<Vec<u64>> = (0..n_models)
-                .map(|mi| {
-                    (0..n_devs)
-                        .map(|d| {
-                            let m = &rt.managers[d];
-                            let warm = m.serving_version(mi).is_some() || m.is_loading(mi);
-                            let transfer = if warm {
-                                0
-                            } else {
-                                MemoryPool::transfer_time(
-                                    m.aspired_weights_bytes(mi),
-                                    m.load_gbps(),
-                                )
-                                .as_nanos()
-                            };
-                            (transfer + cluster::scaled_execute_ns(f.exec_est[mi], f.speed[d]))
-                                / 1_000
-                        })
-                        .collect()
-                })
-                .collect();
-            cluster::FlowProblem { demands, capacities, costs }
-        };
-        let assignment = cluster::solve(&problem);
-        let n_models = problem.demands.len();
-        let n_devs = problem.capacities.len();
-        let mut loads = 0u32;
-        let mut drains = 0u32;
-        for mi in 0..n_models {
-            let placements = assignment.placements(mi);
-            if placements.is_empty() {
-                continue;
-            }
-            for &d in &placements {
-                let mgr = &mut self.residency.as_mut().expect(FLEET).managers[d];
-                if mgr.serving_version(mi).is_some() || mgr.is_loading(mi) {
-                    continue;
-                }
-                let mut fx = LcEffects::default();
-                let ok = mgr.request_load(mi, now, &mut self.memories[d], &mut fx);
-                self.apply_lifecycle_effects(fx);
-                if ok {
-                    loads += 1;
-                }
-            }
-            for d in 0..n_devs {
-                if placements.contains(&d) {
-                    continue;
-                }
-                let mgr = &mut self.residency.as_mut().expect(FLEET).managers[d];
-                if mgr.serving_version(mi).is_none() {
-                    continue;
-                }
-                let mut fx = LcEffects::default();
-                let ok = mgr.request_drain(mi, now, &mut self.memories[d], &mut fx);
-                self.apply_lifecycle_effects(fx);
-                if ok {
-                    drains += 1;
-                    self.record(TraceKind::ClusterMigrate {
-                        model: mi as u32,
-                        from: d as u32,
-                        to: placements[0] as u32,
-                    });
-                }
-            }
-        }
-        (loads, drains)
     }
 
     // ---- control plane ----------------------------------------------------
@@ -1502,115 +925,40 @@ impl Engine<'_> {
     /// session is still undecided.
     fn control_tick(&mut self) {
         let now = self.now;
-        let (tick, transition, laxity_on) = {
-            let Some(rt) = self.control.as_mut() else {
-                return;
-            };
-            (rt.cfg.tick, rt.machine.on_tick(now), rt.cfg.laxity_cancel)
+        let Some(rt) = self.control.as_mut() else {
+            return;
         };
-        if let Some(tr) = transition {
-            self.note_control_transition(tr);
+        let period = rt.period();
+        if let Some(transition) = rt.tick(now) {
+            self.record(transition);
         }
-        if laxity_on {
-            // Early cancellation: a run whose expected remaining GPU work
-            // no longer fits before its deadline is torn down now instead
-            // of at the deadline, freeing its quanta for runs that can
-            // still make it.
-            for (job, c, deficit_us) in self.laxity_doomed() {
-                self.record(TraceKind::LaxityCancel {
-                    job: job.0,
-                    client: c.0,
-                    deficit_us,
-                });
-                self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
-            }
+        // Early cancellation: a run whose expected remaining GPU work no
+        // longer fits before its deadline is torn down now instead of at
+        // the deadline, freeing its quanta for runs that can still make it.
+        for (job, c, deficit_us) in self.laxity_doomed() {
+            self.record(TraceKind::LaxityCancel { job: job.0, client: c.0, deficit_us });
+            self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
         }
         if self.undecided > 0 {
-            self.queue.schedule(now + tick, Event::ControlTick);
+            self.queue.schedule(now + period, Event::ControlTick);
         }
     }
 
     /// Runs that cannot meet their deadline any more, in client-index
-    /// order: `(job, client, deficit in µs)`. The estimate charges each
-    /// run its bound profile's whole-run GPU duration minus the GPU time
-    /// it already received.
+    /// order: `(job, client, deficit in µs)`.
     fn laxity_doomed(&self) -> Vec<(JobId, ClientId, u64)> {
-        let Some(cost) = self.control.as_ref().and_then(|rt| rt.cfg.cost.clone()) else {
+        let Some(rt) = &self.control else {
             return Vec::new();
         };
-        let mut doomed = Vec::new();
-        for (i, client) in self.clients.iter().enumerate() {
-            let (Some(job), Some(budget)) = (client.current_job, client.spec.run_deadline)
-            else {
-                continue;
-            };
-            let Some(slot) = self.live_slot(job) else {
-                continue;
-            };
-            let Some(total) =
-                cost.expected_gpu_ns(client.spec.model.name(), client.spec.model.batch())
-            else {
-                continue;
-            };
-            let deadline = self.job_cold[slot].started_at + budget;
-            let received = self.job_hot[slot].gpu_busy.as_nanos();
-            let eta = self.now + SimDuration::from_nanos(total.saturating_sub(received));
-            if eta > deadline {
-                doomed.push((job, ClientId(i as u32), (eta - deadline).as_nanos() / 1_000));
-            }
-        }
-        doomed
-    }
-
-    /// Lands a degradation-ladder transition on the event stream.
-    fn note_control_transition(&mut self, tr: controlplane::Transition) {
-        self.record(TraceKind::ControlTransition {
-            from: tr.from.as_str(),
-            to: tr.to.as_str(),
-        });
-    }
-
-    /// The control plane's alert reactions: an SLO burn escalates the
-    /// degradation ladder (and resets the burn latch so a *sustained* burn
-    /// keeps escalating), a drift alert recalibrates the drifting model's
-    /// profile in place — no run is stopped; the next threshold computation
-    /// simply sees the rescaled profile.
-    fn control_on_alert(&mut self, alert: &Alert) {
-        match alert {
-            Alert::SloBurn { at, slo, .. } => {
-                let transition = {
-                    let rt = self.control.as_mut().expect("control hook with control on");
-                    rt.machine.on_burn(*at)
-                };
-                // Control feedback into the monitor, not a fact: a direct
-                // call.
-                self.telemetry.reset_burn_latch(*slo);
-                if let Some(tr) = transition {
-                    self.note_control_transition(tr);
-                }
-            }
-            Alert::Drift { client, observed_us, expected_us, .. } => {
-                let rebound = {
-                    let rt = self.control.as_ref().expect("control hook with control on");
-                    if !rt.cfg.recalibrate || *expected_us <= 0.0 {
-                        return;
-                    }
-                    let Some(cost) = rt.cfg.cost.as_ref() else {
-                        return;
-                    };
-                    let scale_ppm = controlplane::clamp_rebind_ppm(
-                        ((observed_us / expected_us) * 1e6).round() as u64,
-                    );
-                    let spec = &self.clients[*client as usize].spec;
-                    cost.rebind_scaled(spec.model.name(), spec.model.batch(), scale_ppm)
-                        .then_some(scale_ppm)
-                };
-                if let Some(scale_ppm) = rebound {
-                    self.record(TraceKind::ProfileRebind { client: *client, scale_ppm });
-                }
-            }
-            _ => {}
-        }
+        let doomed = |(i, client): (usize, &ClientState)| {
+            let job = client.current_job?;
+            let slot = self.live_slot(job)?;
+            let deadline = self.job_cold[slot].started_at + client.spec.run_deadline?;
+            let received = self.job_hot[slot].gpu_busy;
+            let deficit = rt.laxity_deficit_us(self.now, &client.spec.model, deadline, received)?;
+            Some((job, ClientId(i as u32), deficit))
+        };
+        self.clients.iter().enumerate().filter_map(doomed).collect()
     }
 
     // ---- scheduling plumbing ---------------------------------------------
@@ -1637,9 +985,7 @@ impl Engine<'_> {
             starving: self.starving.len() as u64,
             active_jobs: u64::from(probe.active_jobs),
             holder_cost: probe.holder_cost,
-            resident_model_bytes: self.residency.as_ref().map_or(0, |rt| {
-                rt.managers.iter().map(LifecycleManager::resident_bytes).sum()
-            }),
+            resident_model_bytes: self.residency.as_ref().map_or(0, |rt| rt.resident_bytes()),
         }
     }
 
@@ -1655,45 +1001,42 @@ impl Engine<'_> {
         }
     }
 
-    /// Mirrors a telemetry alert into the trace ring as a typed event, so
-    /// it shows up on the Perfetto timeline next to the quanta and runs
-    /// that caused it. Alert kinds go straight to the ring, not through
-    /// [`record`](Self::record): the fold already counted them.
+    /// Hands a telemetry alert to the control plane, then mirrors it into
+    /// the trace ring as a typed event. Alert kinds go straight to the
+    /// ring, not through [`record`](Self::record): the fold already
+    /// counted them.
     #[cold]
     fn record_alert(&mut self, alert: &Alert) {
-        if self.control.is_some() {
-            self.control_on_alert(alert);
-        }
-        let kind = match alert {
-            Alert::Drift { client, observed_us, expected_us, deviation, .. } => {
-                TraceKind::DriftAlert {
-                    client: *client,
-                    observed_us: observed_us.round() as u64,
-                    expected_us: expected_us.round() as u64,
-                    deviation_ppm: (deviation * 1e6).round() as u64,
-                }
+        if let Some(rt) = &mut self.control {
+            let clients = &self.clients;
+            let reaction = rt.on_alert(alert, |c| &clients[c as usize].spec.model);
+            if let Alert::SloBurn { slo, .. } = alert {
+                // Control feedback into the monitor, not a fact: a direct
+                // call.
+                self.telemetry.reset_burn_latch(*slo);
             }
-            Alert::SloBurn { slo, short_burn, long_burn, .. } => TraceKind::SloBurnAlert {
-                slo: *slo,
-                short_ppm: (short_burn * 1e6).round() as u64,
-                long_ppm: (long_burn * 1e6).round() as u64,
-            },
-            // Fault-recovery alerts already have a typed trace event
-            // recorded at the action site (BreakerTransition,
-            // WatchdogRevoke, RetryScheduled); mirroring them here would
-            // double-count.
-            Alert::FaultRecovery { .. } => return,
-            // Rollout alerts likewise: CanaryPromote / CanaryRollback are
-            // recorded where the decision lands.
-            Alert::Rollout { .. } => return,
-        };
-        self.trace.record(alert.at(), kind);
+            if let Some(kind) = reaction {
+                self.record(kind);
+            }
+        }
+        if let Some(kind) = alert.trace_kind() {
+            self.trace.record(alert.at(), kind);
+        }
     }
 
+    /// Applies a scheduler hook's verdict — accounting, trace and the
+    /// grantee's wake-up when the token moved — then re-arms the
+    /// scheduler's timer.
     fn apply_verdict(&mut self, verdict: Verdict) {
-        let Verdict::Moved { from, to, reason } = verdict else {
-            return;
-        };
+        if let Verdict::Moved { from, to, reason } = verdict {
+            self.token_moved(from, to, reason);
+        }
+        self.schedule_timer();
+    }
+
+    /// The token moved from `from` to `to`: count the switch, close the
+    /// revoked holder's quantum and wake the grantee.
+    fn token_moved(&mut self, from: Option<JobId>, to: Option<JobId>, reason: SwitchReason) {
         if matches!(reason, SwitchReason::WatchdogStall) {
             // The token-hold watchdog revoked a stalled holder: surface it
             // before `last_switch` advances, so the stall length is the
@@ -1713,21 +1056,10 @@ impl Engine<'_> {
             self.intervals.push(self.now - last);
         }
         self.last_switch = Some(self.now);
-        if let Some(old) = from {
-            if let Some(slot) = self.live_slot(old) {
-                let (flushed, client) = {
-                    let j = &mut self.job_hot[slot];
-                    if j.quantum_acc > SimDuration::ZERO {
-                        let acc = std::mem::take(&mut j.quantum_acc);
-                        self.job_cold[slot].quanta.push((self.now, acc));
-                        (Some(acc), j.client.0)
-                    } else {
-                        (None, j.client.0)
-                    }
-                };
-                if let Some(acc) = flushed {
-                    self.record(TraceKind::QuantumEnd { job: old.0, client, gpu: acc });
-                }
+        if let Some((old, slot)) = from.and_then(|j| Some((j, self.live_slot(j)?))) {
+            if let Some(acc) = self.flush_quantum(slot) {
+                let client = self.job_hot[slot].client.0;
+                self.record(TraceKind::QuantumEnd { job: old.0, client, gpu: acc });
             }
         }
         if self.trace.is_on() || self.telemetry.is_on() {
@@ -1766,6 +1098,24 @@ impl Engine<'_> {
                     self.record(TraceKind::YieldUnblock { job: new.0, client });
                 }
             }
+        }
+    }
+
+    /// Closes the open quantum of the job in `slot`, if it received GPU
+    /// time since the last one.
+    fn flush_quantum(&mut self, slot: usize) -> Option<SimDuration> {
+        let acc = std::mem::take(&mut self.job_hot[slot].quantum_acc);
+        (acc > SimDuration::ZERO).then(|| {
+            self.job_cold[slot].quanta.push((self.now, acc));
+            acc
+        })
+    }
+
+    /// Returns `n` gang threads to the pool and wakes starving jobs.
+    fn release_workers(&mut self, n: u32) {
+        if n > 0 {
+            self.pool_idle += n;
+            self.wake_starving();
         }
     }
 
@@ -1820,11 +1170,8 @@ impl Engine<'_> {
                 // Nothing to pick up: idle gang threads go back to the pool
                 // (TF-Serving returns threads as soon as Process() drains).
                 let idle = job.held - job.busy;
-                if idle > 0 {
-                    self.job_hot[slot].held -= idle;
-                    self.pool_idle += idle;
-                    self.wake_starving();
-                }
+                self.job_hot[slot].held -= idle;
+                self.release_workers(idle);
                 return;
             }
             // Acquire a worker: prefer an idle gang member, else the pool.
@@ -1856,33 +1203,19 @@ impl Engine<'_> {
         let graph = &self.job_cold[slot].graph;
         let client = &mut self.clients[client_id as usize];
         let n = graph.node(node);
-        let inflation = if self.cfg.online_profiling {
-            1.0 + self.cfg.profiling_inflation
-        } else {
-            1.0
-        };
         let jitter = if self.cfg.cpu_jitter > 0.0 {
             client.rng.jitter(self.cfg.cpu_jitter)
         } else {
             1.0
         };
-        match n.placement() {
-            Placement::Cpu => {
-                let d = n.duration().mul_f64(jitter * client.submit_factor * inflation);
-                self.queue.schedule(
-                    self.now + d,
-                    Event::NodeDone { job: job_id, node, gpu: None },
-                );
-            }
-            Placement::Gpu => {
-                let launch = self
-                    .cfg
-                    .launch_overhead
-                    .mul_f64(jitter * client.submit_factor * inflation);
-                self.queue
-                    .schedule(self.now + launch, Event::SubmitKernel { job: job_id, node });
-            }
-        }
+        let scale = jitter * client.submit_factor * self.cfg.profiling_factor();
+        // A CPU node runs inline; a GPU node spends the launch overhead
+        // submitting its kernel.
+        let (delay, event) = match n.placement() {
+            Placement::Cpu => (n.duration(), Event::NodeDone { job: job_id, node, gpu: None }),
+            Placement::Gpu => (self.cfg.launch_overhead, Event::SubmitKernel { job: job_id, node }),
+        };
+        self.queue.schedule(self.now + delay.mul_f64(scale), event);
     }
 
     fn submit_kernel(&mut self, job_id: JobId, node: NodeId) {
@@ -1893,26 +1226,36 @@ impl Engine<'_> {
             JobRef::Dead => unreachable!("submitting for a dead job"),
         };
         if self.telemetry.is_on() {
-            let j = &mut self.job_hot[slot];
-            if j.granted_at != SimTime::MAX {
-                let granted = std::mem::replace(&mut j.granted_at, SimTime::MAX);
+            let granted = std::mem::replace(&mut self.job_hot[slot].granted_at, SimTime::MAX);
+            if granted != SimTime::MAX {
                 // A direct call, not an event: this endpoint of the hand-off
                 // is a per-kernel fact the trace records only in Full mode.
                 self.telemetry.on_handoff(self.now - granted);
             }
         }
-        if self.faults.is_some() && self.kernel_fault_fired(job_id, node, slot) {
-            // The launch failed; a backoff retry is scheduled (or the
-            // client was shed). The gang thread stays blocked either way.
-            return;
+        if let Some(fr) = &mut self.faults {
+            let c = self.job_hot[slot].client;
+            let client = &self.clients[c.0 as usize];
+            let deadline = client.spec.run_deadline.map(|d| self.job_cold[slot].started_at + d);
+            match fr.launch(job_id.0, c.0, node, client.device, self.now, deadline) {
+                Ok(None) => {}
+                Ok(Some(closed)) => self.record(closed),
+                Err(failure) => {
+                    // The launch failed: retry after the backoff, or shed
+                    // the session. The gang thread stays blocked either way.
+                    for kind in failure.events {
+                        self.record(kind);
+                    }
+                    match failure.next {
+                        Ok(at) => self.queue.schedule(at, Event::RetryKernel { job: job_id, node }),
+                        Err(outcome) => self.teardown_job(job_id, c, outcome),
+                    }
+                    return;
+                }
+            }
         }
         let duration = self.job_cold[slot].graph.node(node).duration();
         let tag = JobTag(self.job_hot[slot].client.0 as u64);
-        let inflation = if self.cfg.online_profiling {
-            1.0 + self.cfg.profiling_inflation
-        } else {
-            1.0
-        };
         let dev = self.clients[tag.0 as usize].device as usize;
         let kernel_id = match self.kernel_free.pop() {
             Some(k) => {
@@ -1933,136 +1276,34 @@ impl Engine<'_> {
                 node: node.index() as u32,
             });
         }
-        let mut extra = inflation;
-        if let Some(fr) = self.faults.as_ref() {
-            // A kernel enqueued inside a slowdown window runs `factor`×
-            // slower (the window is sampled at submission).
-            extra *= fr.injector.slowdown_factor(self.now);
+        let mut extra = self.cfg.profiling_factor();
+        if let Some(fr) = &self.faults {
+            // A kernel enqueued inside a slowdown window runs `factor`× slower.
+            extra *= fr.slowdown(self.now);
         }
         self.devices[dev].enqueue(tag, kernel_id, duration, extra);
         self.pump_device(dev);
-    }
-
-    /// Draws the kernel-fault verdict for this submission. When it fires,
-    /// runs the recovery path — count the attempt, drive the client's
-    /// circuit breaker, then either schedule a backoff retry (never past
-    /// the run deadline) or shed the session — and returns true: the
-    /// kernel was not enqueued and the gang thread stays blocked on it.
-    fn kernel_fault_fired(&mut self, job_id: JobId, node: NodeId, slot: usize) -> bool {
-        let now = self.now;
-        let c = self.job_hot[slot].client;
-        let started_at = self.job_cold[slot].started_at;
-        let dev = self.clients[c.0 as usize].device;
-        let deadline = self.clients[c.0 as usize].spec.run_deadline.map(|d| started_at + d);
-        let fr = self.faults.as_mut().expect("fault path entered with faults on");
-        if !fr.injector.kernel_fails(now) {
-            // A clean launch closes a half-open breaker (the probe
-            // succeeded) and resets the failure streak.
-            let b = &mut fr.breakers[c.0 as usize];
-            let reopened = b.state() != BreakerState::Closed;
-            b.record_success();
-            if !fr.attempts.is_empty() {
-                fr.attempts.remove(&(job_id.0, node.index() as u32));
-            }
-            if reopened {
-                self.record(TraceKind::BreakerTransition {
-                    client: c.0,
-                    state: "closed",
-                    shed: None,
-                });
-            }
-            return false;
-        }
-        let attempt = {
-            let a = fr.attempts.entry((job_id.0, node.index() as u32)).or_insert(0);
-            *a += 1;
-            *a
-        };
-        let breaker_event = fr.breakers[c.0 as usize].record_failure(now);
-        let trips = fr.breakers[c.0 as usize].trips();
-        let mut probe_scheduled = false;
-        let retry_at = match breaker_event {
-            BreakerEvent::Shed => None,
-            _ => fr
-                .retry
-                .next_retry_at(now, attempt - 1, deadline, &mut fr.retry_rng)
-                .map(|at| {
-                    // An open breaker defers the retry to its cooldown
-                    // edge; consulting it makes the retry the probe.
-                    let b = &mut fr.breakers[c.0 as usize];
-                    let was_open = b.state() == BreakerState::Open;
-                    let earliest = b.earliest_attempt(now);
-                    probe_scheduled = was_open;
-                    at.max(earliest)
-                }),
-        };
-        self.record(TraceKind::KernelFault {
-            job: job_id.0,
-            client: c.0,
-            device: dev,
-            node: node.index() as u32,
-            attempt,
-        });
-        if let BreakerEvent::Opened { .. } = breaker_event {
-            self.record(TraceKind::BreakerTransition { client: c.0, state: "open", shed: None });
-        }
-        if probe_scheduled {
-            self.record(TraceKind::BreakerTransition {
-                client: c.0,
-                state: "half-open",
-                shed: None,
-            });
-        }
-        match retry_at {
-            Some(at) => {
-                self.record(TraceKind::RetryScheduled {
-                    job: job_id.0,
-                    client: c.0,
-                    node: node.index() as u32,
-                    attempt,
-                    delay: at - now,
-                });
-                self.queue.schedule(at, Event::RetryKernel { job: job_id, node });
-            }
-            None => {
-                let (outcome, cause) = if breaker_event == BreakerEvent::Shed {
-                    (ClientOutcome::CircuitOpen { at: now, trips }, ShedCause::CircuitOpen(trips))
-                } else {
-                    (
-                        ClientOutcome::RetriesExhausted { at: now, attempts: attempt },
-                        ShedCause::RetriesExhausted(attempt),
-                    )
-                };
-                self.shed_client(c, job_id, outcome, cause);
-            }
-        }
-        true
     }
 
     /// Starts the next queued kernel if the device is free and schedules its
     /// completion. Called after every enqueue and every kernel completion —
     /// the device's pump protocol keeps exactly one completion outstanding.
     fn pump_device(&mut self, dev: usize) {
-        if let Some(fr) = self.faults.as_mut() {
-            if let Some(until) = fr.injector.stall_until(self.now) {
-                // The device starts no new kernels during a stall window;
-                // one wake-up event per (device, window) resumes pumping.
-                if !fr.stall_pump[dev] {
-                    fr.stall_pump[dev] = true;
-                    self.record(TraceKind::DeviceStall {
-                        device: dev as u32,
-                        until_us: until.as_nanos() / 1_000,
-                    });
-                    self.queue.schedule(until, Event::PumpDevice(dev as u32));
-                }
-                return;
+        if let Some((until, first)) = self.faults.as_mut().and_then(|fr| fr.stall(dev, self.now)) {
+            // The device starts no new kernels during a stall window; one
+            // wake-up event per (device, window) resumes pumping.
+            if first {
+                self.record(TraceKind::DeviceStall {
+                    device: dev as u32,
+                    until_us: until.as_nanos() / 1_000,
+                });
+                self.queue.schedule(until, Event::PumpDevice(dev as u32));
             }
+            return;
         }
         if let Some(k) = self.devices[dev].try_start(self.now) {
             let idx = k.payload as usize;
-            let (job, node) = self.kernels[idx]
-                .take()
-                .expect("started kernel was enqueued");
+            let (job, node) = self.kernels[idx].take().expect("started kernel was enqueued");
             self.kernel_free.push(idx as u32);
             if self.trace.records_kernels() {
                 // A started kernel's job is still live: queued kernels of
@@ -2080,10 +1321,7 @@ impl Engine<'_> {
                     });
                 }
             }
-            self.queue.schedule(
-                k.end,
-                Event::NodeDone { job, node, gpu: Some(k.duration) },
-            );
+            self.queue.schedule(k.end, Event::NodeDone { job, node, gpu: Some(k.duration) });
         }
     }
 
@@ -2102,8 +1340,7 @@ impl Engine<'_> {
         };
         if gpu.is_some() {
             // A kernel just finished: its device is free for the next one.
-            let dev =
-                self.clients[self.job_hot[slot].client.0 as usize].device as usize;
+            let dev = self.clients[self.job_hot[slot].client.0 as usize].device as usize;
             self.pump_device(dev);
         }
         let job = &mut self.job_hot[slot];
@@ -2159,7 +1396,6 @@ impl Engine<'_> {
                 }
             }
             self.apply_verdict(verdict);
-            self.schedule_timer();
         }
         // Split borrow across the SoA halves: children come from the cold
         // graph while readiness mutates the hot row — no `Arc` clone.
@@ -2192,6 +1428,11 @@ impl Engine<'_> {
     /// denominators agree across groups. `horizon >= self.now` required.
     pub(crate) fn finalize_at(mut self, horizon: SimTime) -> RunReport {
         debug_assert!(horizon >= self.now, "finalize horizon precedes the clock");
+        debug_assert!(
+            self.undecided > 0
+                || self.residency.as_ref().is_none_or(ResidencyRuntime::ledger_settled),
+            "every session ended, but the fleet ledger still holds charges"
+        );
         let makespan = horizon;
         // Flush the telemetry tail (remaining boundaries plus the final
         // partial snapshot) before the trace ring is sealed, so burn-rate
@@ -2207,25 +1448,19 @@ impl Engine<'_> {
                 self.record_alert(a);
             }
         }
-        let mut reports = Vec::with_capacity(self.clients.len());
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            let outcome = client.outcome.take().unwrap_or(ClientOutcome::Stalled);
-            reports.push(ClientReport {
-                client: ClientId(i as u32),
-                model_name: client.spec.model.name().to_string(),
-                batch: client.spec.model.batch(),
-                outcome,
-                run_finish_times: std::mem::take(&mut client.run_finish_times),
-                run_gpu_durations: std::mem::take(&mut client.run_gpu_durations),
-                quantum_marks: std::mem::take(&mut client.quantum_marks),
+        let devices = &self.devices;
+        let reports: Vec<ClientReport> = self
+            .clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, client)| {
                 // Summed across devices: cluster routing may move a
                 // client's runs between GPUs (other devices report zero).
-                total_gpu: self
-                    .devices
-                    .iter()
-                    .fold(SimDuration::ZERO, |acc, d| acc + d.job_busy(JobTag(i as u64))),
-            });
-        }
+                let tag = JobTag(i as u64);
+                let gpu = devices.iter().fold(SimDuration::ZERO, |acc, d| acc + d.job_busy(tag));
+                client.into_report(ClientId(i as u32), gpu)
+            })
+            .collect();
         let device_utilizations: Vec<f64> = self
             .devices
             .iter()
@@ -2751,6 +1986,64 @@ mod tests {
         assert_eq!(a.event_count, b.event_count);
         assert_eq!(a.telemetry_jsonl(), b.telemetry_jsonl());
         assert_eq!(a.prometheus_text(), b.prometheus_text());
+    }
+
+    /// FIFO, except that every registration of deployment `b` is refused.
+    #[derive(Debug)]
+    struct RefuseB(FifoScheduler);
+
+    impl Scheduler for RefuseB {
+        fn register(
+            &mut self,
+            job: JobId,
+            ctx: &JobCtx<'_>,
+        ) -> Result<Verdict, crate::RegisterError> {
+            if ctx.model_name.starts_with("b@") {
+                let model = ctx.model_name.to_string();
+                return Err(crate::RegisterError::MissingProfile { model, batch: ctx.batch });
+            }
+            self.0.register(job, ctx)
+        }
+        fn deregister(&mut self, job: JobId, now: SimTime) -> Verdict {
+            self.0.deregister(job, now)
+        }
+        fn may_run(&self, job: JobId) -> bool {
+            self.0.may_run(job)
+        }
+        fn on_gpu_node_done(&mut self, job: JobId, node: NodeId, now: SimTime) -> Verdict {
+            self.0.on_gpu_node_done(job, node, now)
+        }
+        fn name(&self) -> &str {
+            "refuse-b"
+        }
+    }
+
+    #[test]
+    fn cluster_ledger_returns_every_charge() {
+        // Every first arrival parks for a load and re-routes on wake; `b`'s
+        // woken run is refused by the scheduler; the last client's run
+        // overruns its deadline and is cancelled. Each path must hand its
+        // charge back to the router.
+        for policy in [cluster::RouterPolicy::CostAware, cluster::RouterPolicy::Static] {
+            let names = ["a", "b", "c"];
+            let mut clients = fleet_clients(&names, 3);
+            let doomed = ClientSpec::new(managed("c"), 3);
+            clients.push(doomed.with_run_deadline(SimDuration::from_micros(50)));
+            let mut sched = RefuseB(FifoScheduler::new());
+            let mut engine = build_engine(&fleet_cfg(policy, &names), clients, &mut sched);
+            engine.run();
+            assert_eq!(engine.undecided, 0, "{policy:?}: a session never ended");
+            let outcome = |i: usize| engine.clients[i].outcome.as_ref();
+            assert!(matches!(outcome(0), Some(ClientOutcome::Finished(_))), "{policy:?}");
+            assert!(matches!(outcome(1), Some(ClientOutcome::RejectedByScheduler(_))));
+            assert!(matches!(outcome(2), Some(ClientOutcome::Finished(_))), "{policy:?}");
+            assert!(matches!(outcome(3), Some(ClientOutcome::DeadlineExceeded(_))));
+            let rt = engine.residency.as_ref().expect("fleet mode");
+            assert!(rt.ledger_settled(), "{policy:?}: charges left on the fleet ledger");
+            // 8 arrivals; every route past them is a woken re-route.
+            let report = engine.finalize();
+            assert!(report.telemetry.counter("cluster_routes").unwrap() > 8, "{policy:?}");
+        }
     }
 
     #[test]

@@ -50,22 +50,9 @@ pub mod cluster {
     pub use ::cluster::*;
 }
 mod config;
-pub mod control {
-    //! Re-export of the control-plane crate: deadline-aware scheduling
-    //! support, the burn-rate degradation ladder and online recalibration
-    //! consumed via [`EngineConfig::with_control`].
-    //!
-    //! [`EngineConfig::with_control`]: crate::EngineConfig::with_control
-    pub use ::controlplane::*;
-}
+pub mod control;
 mod engine;
-pub mod faults {
-    //! Re-export of the fault-injection crate: plans, retry policies and
-    //! circuit breakers consumed via [`EngineConfig::with_faults`].
-    //!
-    //! [`EngineConfig::with_faults`]: crate::EngineConfig::with_faults
-    pub use ::faults::*;
-}
+pub mod faults;
 pub mod lifecycle {
     //! Re-export of the model-lifecycle crate: versioned registries,
     //! memory-budgeted residency and canary rollouts consumed via
@@ -75,6 +62,7 @@ pub mod lifecycle {
     pub use ::lifecycle::*;
 }
 mod report;
+mod residency;
 mod scheduler;
 pub mod shard;
 pub mod telemetry;

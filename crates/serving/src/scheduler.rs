@@ -18,7 +18,7 @@ impl fmt::Display for JobId {
 }
 
 /// Identifier of a client (one request stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -41,7 +41,9 @@ pub struct JobCtx<'a> {
     /// Priority for priority policies (higher runs first).
     pub priority: u32,
     /// Which GPU the job's client is placed on (0 for single-GPU servers).
-    /// Token schedulers keep one token per device.
+    /// A bare `OlympianScheduler` ignores it and passes one token across
+    /// the whole server; only `MultiGpuScheduler` keeps one token per
+    /// device and routes each hook by this field.
     pub device: u32,
     /// Registration time.
     pub now: SimTime,

@@ -238,6 +238,31 @@ impl Alert {
             Alert::Rollout { .. } => "rollout",
         }
     }
+
+    /// The alert as a typed event on the trace timeline, next to the
+    /// quanta and runs that caused it. `None` for fault-recovery and
+    /// rollout alerts: their typed events (`BreakerTransition`,
+    /// `WatchdogRevoke`, `RetryScheduled`, `CanaryPromote`,
+    /// `CanaryRollback`) are recorded where the action lands, and
+    /// mirroring them would double-count.
+    pub fn trace_kind(&self) -> Option<TraceKind> {
+        match *self {
+            Alert::Drift { client, observed_us, expected_us, deviation, .. } => {
+                Some(TraceKind::DriftAlert {
+                    client,
+                    observed_us: observed_us.round() as u64,
+                    expected_us: expected_us.round() as u64,
+                    deviation_ppm: (deviation * 1e6).round() as u64,
+                })
+            }
+            Alert::SloBurn { slo, short_burn, long_burn, .. } => Some(TraceKind::SloBurnAlert {
+                slo,
+                short_ppm: (short_burn * 1e6).round() as u64,
+                long_ppm: (long_burn * 1e6).round() as u64,
+            }),
+            Alert::FaultRecovery { .. } | Alert::Rollout { .. } => None,
+        }
+    }
 }
 
 /// The snapshot time series in struct-of-arrays layout: every boundary
