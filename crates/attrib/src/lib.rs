@@ -1,4 +1,4 @@
-//! Latency attribution over the typed trace ring.
+//! Latency attribution over the typed trace.
 //!
 //! The serving engine answers *what happened* (the trace) and *how much*
 //! (telemetry). This crate answers *why a request took as long as it did*:
@@ -190,9 +190,6 @@ pub struct Attribution {
     pub token_based: bool,
     /// Runs registered but never terminated in the trace (excluded).
     pub unfinished: u32,
-    /// Events the flight-recorder ring dropped; a non-zero value means the
-    /// decomposition is truncated and reports carry a warning.
-    pub dropped_events: u64,
 }
 
 /// Raw per-run state accumulated during the single chronological pass.
@@ -480,7 +477,6 @@ impl Attribution {
             makespan_ns,
             token_based,
             unfinished,
-            dropped_events: trace.dropped,
         }
     }
 
@@ -489,17 +485,6 @@ impl Attribution {
         let mut totals = [0u64; PHASE_COUNT];
         for r in &self.runs {
             for (t, v) in totals.iter_mut().zip(r.phase_ns.iter()) {
-                *t += v;
-            }
-        }
-        totals
-    }
-
-    /// Per-client per-phase totals, ns.
-    pub fn client_phase_totals_ns(&self) -> Vec<[u64; PHASE_COUNT]> {
-        let mut totals = vec![[0u64; PHASE_COUNT]; self.client_count as usize];
-        for r in &self.runs {
-            for (t, v) in totals[r.client as usize].iter_mut().zip(r.phase_ns.iter()) {
                 *t += v;
             }
         }

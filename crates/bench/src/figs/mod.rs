@@ -2,7 +2,7 @@
 //!
 //! Every module exposes `run() -> String`: it executes the experiment,
 //! formats the same rows/series the paper plots, and returns the report
-//! text (which the corresponding binary prints and saves under `results/`).
+//! text (which the `all` binary prints and saves under `results/`).
 
 pub mod ablations;
 pub mod blame;
@@ -45,7 +45,7 @@ pub type Experiment = (&'static str, fn() -> String);
 
 /// Every experiment of the reproduction, in the paper's presentation order.
 ///
-/// This is the registry `bench::all` iterates; entries are independent
+/// This is the registry the `all` binary iterates; entries are independent
 /// deterministic simulations, so the harness may run them in parallel as
 /// long as results are merged in registry order.
 pub fn registry() -> Vec<Experiment> {
@@ -83,7 +83,50 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
+/// The experiments named in `names`, in registry order; every experiment
+/// when `names` is empty. A name given twice runs once.
+///
+/// # Errors
+///
+/// Returns a message listing the known names when a name is not in the
+/// registry.
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<Experiment>, String> {
+    let all = registry();
+    if let Some(bad) = names.iter().find(|n| !all.iter().any(|(name, _)| *name == n.as_ref())) {
+        let known: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        return Err(format!("unknown experiment `{}`; known: {}", bad.as_ref(), known.join(" ")));
+    }
+    if names.is_empty() {
+        return Ok(all);
+    }
+    Ok(all.into_iter().filter(|(name, _)| names.iter().any(|n| n.as_ref() == *name)).collect())
+}
+
 /// A fair-sharing Olympian scheduler over the given profiles and quantum.
 pub(crate) fn fair(store: Arc<ProfileStore>, q: SimDuration) -> OlympianScheduler {
     OlympianScheduler::new(store, Box::new(RoundRobin::new()), q)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(sel: &[Experiment]) -> Vec<&'static str> {
+        sel.iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn select_keeps_registry_order() {
+        let sel = select(&["fleet", "chaos", "table2", "chaos"]).unwrap();
+        assert_eq!(names(&sel), ["table2", "chaos", "fleet"]);
+        let none: [&str; 0] = [];
+        assert_eq!(names(&select(&none).unwrap()), names(&registry()));
+    }
+
+    #[test]
+    fn select_rejects_unknown_names() {
+        let err = select(&["fig03", "fig13"]).unwrap_err();
+        assert!(err.starts_with("unknown experiment `fig13`"), "{err}");
+        assert!(err.contains("fig13_14"), "{err}");
+    }
 }

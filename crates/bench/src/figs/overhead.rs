@@ -60,7 +60,6 @@ pub fn stats() -> OverheadStats {
     let base_report =
         run_experiment(&cfg, clients.clone(), &mut FifoScheduler::new());
     assert!(base_report.all_finished());
-    assert_eq!(base_report.trace.dropped, 0, "full trace must be lossless");
     let baseline = TraceStats::from_trace(&base_report.trace, handoff);
 
     let store = build_store_for(&cfg, &clients);
@@ -68,7 +67,6 @@ pub fn stats() -> OverheadStats {
     let mut sched = fair(store, q);
     let report = run_experiment(&cfg, clients, &mut sched);
     assert!(report.all_finished());
-    assert_eq!(report.trace.dropped, 0, "full trace must be lossless");
     let olympian = TraceStats::from_trace(&report.trace, handoff);
 
     OverheadStats { baseline, olympian, q_us: q.as_micros_f64() }

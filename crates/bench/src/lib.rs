@@ -97,7 +97,7 @@ pub fn build_store_for(cfg: &EngineConfig, clients: &[ClientSpec]) -> Arc<Profil
 /// picks `Q` for the tolerance (paper §3.3). Falls back to the largest grid
 /// point if no quantum meets the tolerance.
 pub fn choose_q(cfg: &EngineConfig, clients: &[ClientSpec], tolerance: f64) -> SimDuration {
-    let profiler = Profiler::new(cfg).with_pair_batches(3);
+    let profiler = Profiler::new(cfg);
     let grid = standard_q_grid();
     let mut seen: Vec<(String, u64)> = Vec::new();
     let mut distinct: Vec<&ClientSpec> = Vec::new();
@@ -158,11 +158,6 @@ pub fn format_finish_times(label: &str, report: &RunReport) -> String {
     out
 }
 
-/// Prints per-client finish times (see [`format_finish_times`]).
-pub fn print_finish_times(label: &str, report: &RunReport) {
-    print!("{}", format_finish_times(label, report));
-}
-
 /// Formats per-client mean quantum GPU durations (Figures 14/16).
 pub fn format_quanta(label: &str, report: &RunReport) -> String {
     let mut out = format!("\n[{label}] average GPU duration per quantum\n");
@@ -187,11 +182,6 @@ pub fn format_quanta(label: &str, report: &RunReport) -> String {
         &rows,
     ));
     out
-}
-
-/// Prints per-client mean quantum GPU durations (see [`format_quanta`]).
-pub fn print_quanta(label: &str, report: &RunReport) {
-    print!("{}", format_quanta(label, report));
 }
 
 /// Writes a result file under `results/` (created on demand) and returns

@@ -134,7 +134,7 @@ mod tests {
         assert!(t.counter("alerts_drift").unwrap() >= 1);
         assert!(t.counter("alerts_slo_burn").unwrap() >= 1);
         assert!(t.counter("slo_breaches").unwrap() >= 1);
-        // The same alerts land in the trace ring as typed events.
+        // The same alerts land in the trace as typed events.
         let json = report.chrome_trace_json();
         assert!(json.contains("\"drift-alert\""));
         assert!(json.contains("\"slo-burn-alert\""));

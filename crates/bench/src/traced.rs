@@ -70,7 +70,6 @@ mod tests {
         let report = traced_experiment("smoke").unwrap()(TraceConfig::sampled());
         assert!(report.all_finished());
         assert!(!report.trace.is_empty());
-        assert_eq!(report.trace.dropped, 0);
         // Sampled mode records scheduling events but no kernels.
         assert!(report
             .trace

@@ -125,9 +125,9 @@ pub struct Transition {
 /// The Healthy → Degraded → Shedding hysteresis state machine.
 ///
 /// Escalation: every burn-rate episode (one resettable-latch firing of the
-/// telemetry SLO monitor) counts; after [`ControlConfig::escalate_after`]
-/// *consecutive* episodes on the current rung the ladder steps up one rung
-/// and the episode counter re-arms. De-escalation: once
+/// telemetry SLO monitor) counts; after `escalate_after` *consecutive*
+/// episodes on the current rung (the engine uses [`ESCALATE_AFTER`]) the
+/// ladder steps up one rung and the episode counter re-arms. De-escalation: once
 /// [`ControlConfig::cool_window`] of virtual time passes without a burn
 /// episode the ladder steps down one rung — and the cool-down clock re-arms,
 /// so dropping from Shedding to Healthy takes two full quiet windows. A
@@ -233,27 +233,30 @@ pub fn clamp_rebind_ppm(scale_ppm: u64) -> u64 {
     scale_ppm.clamp(MIN_REBIND_PPM, MAX_REBIND_PPM)
 }
 
+/// Control loop cadence: laxity scan and cool-down check interval.
+pub const TICK: SimDuration = SimDuration::from_micros(200);
+
+/// Consecutive burn episodes before the ladder steps up one rung.
+pub const ESCALATE_AFTER: u32 = 2;
+
+/// Batch-hint divisor applied on the Degraded rung (`max(1, b / d)`).
+pub const BATCH_DIVISOR: u64 = 2;
+
 /// Control-plane configuration carried by the engine config behind
 /// `EngineConfig::with_control`. With no control config the engine pays
 /// one predicted branch per hook; the repo benchmark (`perfbench/`)
 /// reports what turning it on costs as `controlplane.on_cost`.
+///
+/// The loop ticks every [`TICK`], escalates after [`ESCALATE_AFTER`]
+/// episodes and divides batches by [`BATCH_DIVISOR`] past Healthy. With a
+/// cost oracle bound it also cancels laxity-negative runs early and
+/// rebinds drifting profiles.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
     /// Deadline-aware hand-off ordering for the token scheduler.
     pub policy: ControlPolicy,
-    /// Control loop cadence: laxity scan + cool-down check interval.
-    pub tick: SimDuration,
-    /// Consecutive burn episodes before the ladder steps up one rung.
-    pub escalate_after: u32,
     /// Quiet virtual time before the ladder steps down one rung.
     pub cool_window: SimDuration,
-    /// Batch-hint divisor applied on the Degraded rung (`max(1, b / d)`).
-    pub batch_divisor: u64,
-    /// Whether the control loop cancels laxity-negative runs early through
-    /// the deadline teardown instead of letting them waste quanta.
-    pub laxity_cancel: bool,
-    /// Whether drift alerts trigger an in-run profile rebind.
-    pub recalibrate: bool,
     /// The profile cost/rebind surface; laxity cancellation and
     /// recalibration are inert without one.
     pub cost: Option<Arc<dyn CostOracle>>,
@@ -263,20 +266,14 @@ impl Default for ControlConfig {
     fn default() -> ControlConfig {
         ControlConfig {
             policy: ControlPolicy::Edf,
-            tick: SimDuration::from_micros(200),
-            escalate_after: 2,
             cool_window: SimDuration::from_millis(2),
-            batch_divisor: 2,
-            laxity_cancel: true,
-            recalibrate: true,
             cost: None,
         }
     }
 }
 
 impl ControlConfig {
-    /// The default closed-loop configuration (EDF, 200 µs ticks, 2-episode
-    /// escalation, 2 ms cool window).
+    /// The default closed-loop configuration (EDF, 2 ms cool window).
     pub fn new() -> ControlConfig {
         ControlConfig::default()
     }
@@ -287,27 +284,9 @@ impl ControlConfig {
         self
     }
 
-    /// Overrides the control loop cadence.
-    pub fn with_tick(mut self, tick: SimDuration) -> ControlConfig {
-        self.tick = tick;
-        self
-    }
-
-    /// Overrides the escalation episode count.
-    pub fn with_escalate_after(mut self, episodes: u32) -> ControlConfig {
-        self.escalate_after = episodes;
-        self
-    }
-
     /// Overrides the cool-down window.
     pub fn with_cool_window(mut self, window: SimDuration) -> ControlConfig {
         self.cool_window = window;
-        self
-    }
-
-    /// Overrides the Degraded-rung batch divisor.
-    pub fn with_batch_divisor(mut self, divisor: u64) -> ControlConfig {
-        self.batch_divisor = divisor;
         self
     }
 
@@ -317,34 +296,18 @@ impl ControlConfig {
         self
     }
 
-    /// Disables early cancellation of laxity-negative runs.
-    pub fn without_laxity_cancel(mut self) -> ControlConfig {
-        self.laxity_cancel = false;
-        self
-    }
-
-    /// Disables drift-triggered profile rebinds.
-    pub fn without_recalibration(mut self) -> ControlConfig {
-        self.recalibrate = false;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on a zero tick, zero escalation count, zero cool window or
-    /// zero batch divisor.
+    /// Panics on a zero cool window.
     pub fn validate(&self) {
-        assert!(self.tick > SimDuration::ZERO, "control tick must be positive");
-        assert!(self.escalate_after >= 1, "escalate_after must be at least 1");
         assert!(self.cool_window > SimDuration::ZERO, "cool_window must be positive");
-        assert!(self.batch_divisor >= 1, "batch_divisor must be at least 1");
     }
 
     /// Builds the ladder state machine this configuration describes.
     pub fn machine(&self) -> DegradeMachine {
-        DegradeMachine::new(self.escalate_after, self.cool_window)
+        DegradeMachine::new(ESCALATE_AFTER, self.cool_window)
     }
 }
 

@@ -385,44 +385,27 @@ impl CircuitBreaker {
     }
 }
 
-/// Complete fault/recovery configuration the engine consumes.
+/// Complete fault/recovery configuration the engine consumes. Recovery
+/// always uses [`RetryPolicy::default`] and [`BreakerConfig::default`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// What to inject, and when.
     pub plan: FaultPlan,
-    /// Kernel/admission retry backoff.
-    pub retry: RetryPolicy,
-    /// Per-client circuit breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl FaultConfig {
-    /// A config around `plan` with default recovery tuning.
+    /// A config around `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultConfig { plan, ..FaultConfig::default() }
+        FaultConfig { plan }
     }
 
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the breaker config.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Checks all component invariants.
+    /// Checks the plan's invariants.
     ///
     /// # Panics
     ///
-    /// Panics when any component is invalid.
+    /// Panics when the plan is invalid.
     pub fn validate(&self) {
         self.plan.validate();
-        self.retry.validate();
-        self.breaker.validate();
     }
 
     /// Builds the injector for a run seeded with `seed` (the engine's run

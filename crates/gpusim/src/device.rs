@@ -46,6 +46,7 @@ pub struct DeviceProfile {
     /// Relative spread (lognormal σ) of a per-*device-instance* clock factor
     /// modelling boost-clock/thermal variation between runs — the reason a
     /// model's measured GPU duration varies ~1.7% across runs (paper §4.4).
+    /// 0.017 on the paper's presets, 0 on [`custom`](Self::custom) devices.
     clock_wobble: f64,
 }
 
@@ -132,22 +133,6 @@ impl DeviceProfile {
     /// Idle setup time between consecutive kernels.
     pub fn kernel_gap(&self) -> SimDuration {
         self.kernel_gap
-    }
-
-    /// Sets the run-to-run clock wobble (lognormal σ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wobble` is negative.
-    pub fn with_clock_wobble(mut self, wobble: f64) -> Self {
-        assert!(wobble >= 0.0, "negative clock wobble");
-        self.clock_wobble = wobble;
-        self
-    }
-
-    /// The run-to-run clock wobble (lognormal σ).
-    pub fn clock_wobble(&self) -> f64 {
-        self.clock_wobble
     }
 }
 

@@ -95,11 +95,6 @@ impl Value {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Looks up a field of an object value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {

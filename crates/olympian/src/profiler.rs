@@ -168,12 +168,17 @@ impl LinearCostModel {
     }
 }
 
+/// Relative σ of per-node cost measurement noise (2.5%, matching the
+/// paper's observed cost stability).
+const COST_NOISE: f64 = 0.025;
+
+/// Batches each racer submits in Overhead-Q measurements.
+const PAIR_BATCHES: u32 = 3;
+
 /// The offline profiler.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     cfg: EngineConfig,
-    cost_noise: f64,
-    pair_batches: u32,
 }
 
 impl Profiler {
@@ -181,26 +186,7 @@ impl Profiler {
     /// the paper profiles "when the GPU is idle", so workload noise sources
     /// are disabled.
     pub fn new(cfg: &EngineConfig) -> Self {
-        Profiler {
-            cfg: cfg.quiescent(),
-            cost_noise: 0.025,
-            pair_batches: 5,
-        }
-    }
-
-    /// Sets the relative σ of per-node cost measurement noise (default
-    /// 2.5%, matching the paper's observed cost stability).
-    pub fn with_cost_noise(mut self, noise: f64) -> Self {
-        assert!(noise >= 0.0, "negative noise");
-        self.cost_noise = noise;
-        self
-    }
-
-    /// Sets how many batches each racer submits in Overhead-Q measurements.
-    pub fn with_pair_batches(mut self, batches: u32) -> Self {
-        assert!(batches > 0, "need at least one batch");
-        self.pair_batches = batches;
-        self
+        Profiler { cfg: cfg.quiescent() }
     }
 
     /// Profiles one `(model, batch)`: an instrumented run for per-node costs
@@ -214,18 +200,14 @@ impl Profiler {
         // contention), so noise has a common run-level component on top of
         // the per-node component; this makes the *total* cost vary ~σ across
         // profiling runs, as the paper measures (§4.4).
-        let run_factor = if self.cost_noise > 0.0 {
-            rng.lognormal(0.0, self.cost_noise)
-        } else {
-            1.0
-        };
+        let run_factor = rng.lognormal(0.0, COST_NOISE);
         let costs: Vec<u64> = exact
             .iter()
             .map(|(_, c)| {
                 if c == 0 {
                     0
                 } else {
-                    ((c as f64) * run_factor * rng.jitter(self.cost_noise))
+                    ((c as f64) * run_factor * rng.jitter(COST_NOISE))
                         .round()
                         .max(1.0) as u64
                 }
@@ -280,8 +262,7 @@ impl Profiler {
     /// Panics if `qs` is empty or either racing run fails to finish.
     pub fn overhead_q_curve(&self, model: &LoadedModel, qs: &[SimDuration]) -> OverheadQCurve {
         assert!(!qs.is_empty(), "need at least one candidate quantum");
-        let clients =
-            || vec![ClientSpec::new(model.clone(), self.pair_batches); 2];
+        let clients = || vec![ClientSpec::new(model.clone(), PAIR_BATCHES); 2];
         let base = run_experiment(&self.cfg, clients(), &mut FifoScheduler::new());
         assert!(base.all_finished(), "baseline race must complete");
         let base_finish = base.makespan.as_secs_f64();

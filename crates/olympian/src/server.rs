@@ -132,7 +132,7 @@ impl ServerBuilder {
     /// Panics if `models` is empty.
     pub fn build_for_models(self, models: &[LoadedModel]) -> OlympianServer {
         assert!(!models.is_empty(), "server needs at least one model");
-        let profiler = Profiler::new(&self.cfg).with_pair_batches(3);
+        let profiler = Profiler::new(&self.cfg);
         let mut store = ProfileStore::new();
         let mut distinct: Vec<&LoadedModel> = Vec::new();
         for m in models {

@@ -131,14 +131,6 @@ pub fn plan_batches(arrivals: &[SimTime], cfg: &BatchingConfig) -> Vec<PlannedBa
     batches
 }
 
-/// Projects a batching plan into the `(batch size, oldest wait)`
-/// observations the telemetry registry seeds its `batch_size` and
-/// `batch_wait_us` histograms with — see
-/// [`TelemetryConfig::with_batches`](telemetry::TelemetryConfig::with_batches).
-pub fn plan_telemetry(plan: &[PlannedBatch]) -> Vec<(u64, SimDuration)> {
-    plan.iter().map(|b| (b.size(), b.oldest_wait())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +180,6 @@ mod tests {
         assert!(plan.windows(2).all(|w| w[0].formed_at() <= w[1].formed_at()));
         // No batch exceeds the cap.
         assert!(plan.iter().all(|b| b.size() <= 16));
-    }
-
-    #[test]
-    fn plan_telemetry_projects_sizes_and_waits() {
-        let cfg = BatchingConfig::new(2, SimDuration::from_millis(10));
-        let plan = plan_batches(&times(&[0, 1, 5]), &cfg);
-        let obs = plan_telemetry(&plan);
-        assert_eq!(obs.len(), plan.len());
-        assert_eq!(obs[0], (2, SimDuration::from_millis(1)));
-        // The tail batch flushed at its 10ms timeout.
-        assert_eq!(obs[1], (1, SimDuration::from_millis(10)));
     }
 
     #[test]

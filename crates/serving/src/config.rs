@@ -48,12 +48,10 @@ pub struct EngineConfig {
     /// per-switch price that makes overhead fall with larger quanta
     /// (Figure 8).
     pub switch_latency: SimDuration,
-    /// Simulate TensorFlow's CUPTI cost profiler running *online*: inflates
-    /// every node execution by `profiling_inflation` (the paper measures
-    /// 21–29%, Figure 6).
-    pub online_profiling: bool,
-    /// Multiplicative execution inflation while `online_profiling` is set.
-    pub profiling_inflation: f64,
+    /// Simulate TensorFlow's CUPTI cost profiler running *online*: `Some(i)`
+    /// inflates every node execution by the fraction `i` (the paper
+    /// measures 21–29%, Figure 6); `None` runs without it.
+    pub online_profiling: Option<f64>,
     /// Queued admission: when a client's memory does not fit, wait for
     /// memory instead of rejecting (TF-Serving's reject-on-OOM is the
     /// default, false). Semantics: first-fit on arrival — a client that
@@ -122,8 +120,7 @@ impl Default for EngineConfig {
             submit_latency_spread: 0.10,
             driver_bias_spread: 0.25,
             switch_latency: SimDuration::from_micros(80),
-            online_profiling: false,
-            profiling_inflation: 0.25,
+            online_profiling: None,
             queue_admission: false,
             trace: trace::TraceConfig::off(),
             telemetry: telemetry::TelemetryConfig::off(),
@@ -138,14 +135,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The factor every node's execution is inflated by: `1 +
-    /// profiling_inflation` while the online profiler runs, else 1.
+    /// The factor every node's execution is inflated by: `1 + i` while the
+    /// online profiler runs with inflation `i`, else 1.
     pub(crate) fn profiling_factor(&self) -> f64 {
-        if self.online_profiling {
-            1.0 + self.profiling_inflation
-        } else {
-            1.0
-        }
+        self.online_profiling.map_or(1.0, |i| 1.0 + i)
     }
 
     /// Validates internal consistency.
@@ -164,7 +157,7 @@ impl EngineConfig {
         assert!(self.cpu_jitter >= 0.0, "negative cpu jitter");
         assert!(self.submit_latency_spread >= 0.0, "negative submit spread");
         assert!(self.driver_bias_spread >= 0.0, "negative bias spread");
-        assert!(self.profiling_inflation >= 0.0, "negative inflation");
+        assert!(self.online_profiling.is_none_or(|i| i >= 0.0), "negative inflation");
         assert!(self.max_events > 0, "event watchdog must be positive");
         assert!(self.shards > 0, "shard worker count must be at least 1");
         self.telemetry.validate();
@@ -271,11 +264,7 @@ impl EngineConfig {
 
     /// A copy with the online cost profiler enabled (Figure 6's condition).
     pub fn with_online_profiling(&self, inflation: f64) -> EngineConfig {
-        EngineConfig {
-            online_profiling: true,
-            profiling_inflation: inflation,
-            ..self.clone()
-        }
+        EngineConfig { online_profiling: Some(inflation), ..self.clone() }
     }
 
     /// A copy with baseline nondeterminism disabled — used when profiling

@@ -28,11 +28,6 @@ impl ControlRuntime {
         ControlRuntime { cfg: cfg.clone(), machine: cfg.machine() }
     }
 
-    /// The `ControlTick` period.
-    pub(crate) fn period(&self) -> SimDuration {
-        self.cfg.tick
-    }
-
     /// In the ladder's Shedding state new sessions are refused outright —
     /// the cheapest load to serve is load never admitted.
     pub(crate) fn sheds_admissions(&self) -> bool {
@@ -50,7 +45,7 @@ impl ControlRuntime {
     /// earlier thresholds while the graph itself is unchanged.
     pub(crate) fn batch(&self, full: u64) -> u64 {
         if self.degraded() {
-            (full / self.cfg.batch_divisor).max(1)
+            (full / BATCH_DIVISOR).max(1)
         } else {
             full
         }
@@ -64,7 +59,8 @@ impl ControlRuntime {
     /// How far, in µs, a run of `model` due by `deadline` that has received
     /// `received` GPU time will overshoot: the bound profile's whole-run
     /// GPU duration minus what it already got. `None` when the run can
-    /// still make it, or when laxity cancellation is off or unprofiled.
+    /// still make it, or when no cost oracle is bound or the model is
+    /// unprofiled.
     pub(crate) fn laxity_deficit_us(
         &self,
         now: SimTime,
@@ -72,9 +68,6 @@ impl ControlRuntime {
         deadline: SimTime,
         received: SimDuration,
     ) -> Option<u64> {
-        if !self.cfg.laxity_cancel {
-            return None;
-        }
         let total = self.cfg.cost.as_ref()?.expected_gpu_ns(model.name(), model.batch())?;
         let eta = now + SimDuration::from_nanos(total.saturating_sub(received.as_nanos()));
         (eta > deadline).then(|| (eta - deadline).as_nanos() / 1_000)
@@ -94,7 +87,7 @@ impl ControlRuntime {
         match *alert {
             Alert::SloBurn { at, .. } => self.machine.on_burn(at).map(transition),
             Alert::Drift { client, observed_us, expected_us, .. } => {
-                if !self.cfg.recalibrate || expected_us <= 0.0 {
+                if expected_us <= 0.0 {
                     return None;
                 }
                 let cost = self.cfg.cost.as_ref()?;

@@ -29,7 +29,7 @@
 
 use crate::client::{ClientSpec, ClientState};
 use crate::config::EngineConfig;
-use crate::control::ControlRuntime;
+use crate::control::{self, ControlRuntime};
 use crate::faults::FaultRuntime;
 use crate::report::{ClientOutcome, ClientReport, RunReport};
 use crate::residency::{Issued, Move, ResidencyRuntime};
@@ -352,8 +352,8 @@ pub(crate) fn build_engine<'a>(
         let at = engine.clients[i].spec.start_at;
         engine.queue.schedule(at, Event::ClientStart(ClientId(i as u32)));
     }
-    if let Some(rt) = &engine.control {
-        engine.queue.schedule(SimTime::ZERO + rt.period(), Event::ControlTick);
+    if engine.control.is_some() {
+        engine.queue.schedule(SimTime::ZERO + control::TICK, Event::ControlTick);
     }
     if let Some(cc) = cfg.cluster.as_ref().filter(|cc| cc.reconfigure) {
         engine.queue.schedule(SimTime::ZERO + cc.tick, Event::ClusterTick);
@@ -928,7 +928,6 @@ impl Engine<'_> {
         let Some(rt) = self.control.as_mut() else {
             return;
         };
-        let period = rt.period();
         if let Some(transition) = rt.tick(now) {
             self.record(transition);
         }
@@ -940,7 +939,7 @@ impl Engine<'_> {
             self.teardown_job(job, c, ClientOutcome::DeadlineExceeded(now));
         }
         if self.undecided > 0 {
-            self.queue.schedule(now + period, Event::ControlTick);
+            self.queue.schedule(now + control::TICK, Event::ControlTick);
         }
     }
 
@@ -964,10 +963,10 @@ impl Engine<'_> {
     // ---- scheduling plumbing ---------------------------------------------
 
     /// Emits one fact at `self.now` — the engine's single event entry
-    /// point. Each event goes to two sinks: the trace ring (which applies
+    /// point. Each event goes to two sinks: the trace buffer (which applies
     /// its own sampling and kernel gate) and, whenever telemetry is on, the
     /// telemetry fold. A drift alert the fold raises is acted on and
-    /// mirrored into the ring on the spot.
+    /// mirrored into the trace on the spot.
     #[inline]
     fn record(&mut self, kind: TraceKind) {
         self.trace.record(self.now, kind);
@@ -1002,8 +1001,8 @@ impl Engine<'_> {
     }
 
     /// Hands a telemetry alert to the control plane, then mirrors it into
-    /// the trace ring as a typed event. Alert kinds go straight to the
-    /// ring, not through [`record`](Self::record): the fold already
+    /// the trace as a typed event. Alert kinds go straight to the
+    /// trace buffer, not through [`record`](Self::record): the fold already
     /// counted them.
     #[cold]
     fn record_alert(&mut self, alert: &Alert) {
@@ -1435,13 +1434,9 @@ impl Engine<'_> {
         );
         let makespan = horizon;
         // Flush the telemetry tail (remaining boundaries plus the final
-        // partial snapshot) before the trace ring is sealed, so burn-rate
-        // alerts fired at the end of the run still land on the timeline.
+        // partial snapshot) before the trace is sealed, so burn-rate alerts
+        // fired at the end of the run still land on the timeline.
         if self.telemetry.is_on() {
-            // Surface the trace ring's drop count before the final snapshot
-            // so it is visible in the last (totals) registry row — a direct
-            // call, since it is a fact about the trace, not an event in it.
-            self.telemetry.on_trace_dropped(self.trace.dropped());
             let gauges = self.engine_gauges();
             let alerts = self.telemetry.finalize(makespan, &gauges);
             for a in &alerts {

@@ -49,8 +49,8 @@ impl FaultRuntime {
         let retry_rng = injector.retry_rng();
         FaultRuntime {
             injector,
-            retry: cfg.retry,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); clients],
+            retry: RetryPolicy::default(),
+            breakers: vec![CircuitBreaker::new(BreakerConfig::default()); clients],
             attempts: HashMap::new(),
             admit_attempts: vec![0; clients],
             retry_rng,

@@ -216,9 +216,7 @@ fn merge_reports(
     // Trace merge: lift ids, stable-sort by (time, group) — within a group
     // events are already in seq order — then restamp dense sequence numbers.
     let mut events = Vec::with_capacity(subs.iter().map(|s| s.trace.events.len()).sum());
-    let mut dropped = 0;
     for (g, sub) in subs.iter_mut().enumerate() {
-        dropped += sub.trace.dropped;
         let client_of = |c: u32| membership[g][c as usize];
         let device_of = |_d: u32| g as u32;
         let job_of = |j: u64| j * groups as u64 + g as u64;
@@ -256,7 +254,7 @@ fn merge_reports(
         event_count: subs.iter().map(|s| s.event_count).sum(),
         scheduler_name: std::mem::take(&mut subs[0].scheduler_name),
         peak_memory: subs.iter().map(|s| s.peak_memory).sum(),
-        trace: Trace { events, dropped },
+        trace: Trace { events },
         telemetry,
     }
 }

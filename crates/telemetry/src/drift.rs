@@ -14,7 +14,7 @@
 //!   sustained shifts well below the EWMA tolerance.
 //!
 //! Either statistic crossing its limit (after a warm-up of
-//! `min_quanta.max(3)` observations, matching the offline floor) raises a
+//! `WARMUP_QUANTA` (3) observations, matching the offline floor) raises a
 //! one-shot re-profile signal.
 //!
 //! The offline helpers [`validate`] and [`assess`] carry the exact
@@ -50,49 +50,33 @@ pub fn assess(expected: SimDuration, observed_mean_us: f64, tolerance: f64) -> (
     (deviation, deviation > tolerance)
 }
 
-/// Streaming detector configuration.
+/// Warm-up: observations before the detector may fire, the same floor as
+/// the offline checker.
+const WARMUP_QUANTA: u64 = 3;
+
+/// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// Streaming detector configuration. The CUSUM slack per observation is
+/// `tolerance / 2` (shifts smaller than this are noise) and its decision
+/// limit is `tolerance * 4`, both in units of relative error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftConfig {
     /// The quantum length the scheduler targets (the paper's `Q`).
     pub expected_quantum: SimDuration,
     /// Relative deviation of the EWMA that flags the profile stale.
     pub tolerance: f64,
-    /// Warm-up: observations before the detector may fire. Floored at 3,
-    /// like the offline checker.
-    pub min_quanta: usize,
-    /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
-    pub ewma_alpha: f64,
-    /// CUSUM slack per observation, in units of relative error. Shifts
-    /// smaller than this are treated as noise.
-    pub cusum_k: f64,
-    /// CUSUM decision limit, in accumulated relative error.
-    pub cusum_h: f64,
 }
 
 impl DriftConfig {
-    /// A detector for the given target quantum and tolerance, with
-    /// conventional defaults for the streaming statistics (slack `= tol/2`,
-    /// limit `= 4 * tol`).
+    /// A detector for the given target quantum and tolerance.
     ///
     /// # Panics
     ///
     /// Same contract as [`validate`].
     pub fn new(expected_quantum: SimDuration, tolerance: f64) -> DriftConfig {
         validate(expected_quantum, tolerance);
-        DriftConfig {
-            expected_quantum,
-            tolerance,
-            min_quanta: 3,
-            ewma_alpha: 0.3,
-            cusum_k: tolerance / 2.0,
-            cusum_h: tolerance * 4.0,
-        }
-    }
-
-    /// Overrides the warm-up observation count.
-    pub fn with_min_quanta(mut self, n: usize) -> DriftConfig {
-        self.min_quanta = n;
-        self
+        DriftConfig { expected_quantum, tolerance }
     }
 }
 
@@ -126,10 +110,6 @@ impl DriftDetector {
     /// Same contract as [`validate`].
     pub fn new(cfg: DriftConfig) -> DriftDetector {
         validate(cfg.expected_quantum, cfg.tolerance);
-        assert!(
-            cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0,
-            "ewma alpha must be in (0, 1]"
-        );
         DriftDetector { cfg, count: 0, ewma_us: 0.0, cusum_pos: 0.0, cusum_neg: 0.0, fired: false }
     }
 
@@ -143,18 +123,18 @@ impl DriftDetector {
         self.ewma_us = if self.count == 1 {
             v
         } else {
-            self.cfg.ewma_alpha * v + (1.0 - self.cfg.ewma_alpha) * self.ewma_us
+            EWMA_ALPHA * v + (1.0 - EWMA_ALPHA) * self.ewma_us
         };
+        let tolerance = self.cfg.tolerance;
+        let (cusum_k, cusum_h) = (tolerance / 2.0, tolerance * 4.0);
         let err = (v - expected) / expected;
-        self.cusum_pos = (self.cusum_pos + err - self.cfg.cusum_k).max(0.0);
-        self.cusum_neg = (self.cusum_neg - err - self.cfg.cusum_k).max(0.0);
-        if self.fired || self.count < self.cfg.min_quanta.max(3) as u64 {
+        self.cusum_pos = (self.cusum_pos + err - cusum_k).max(0.0);
+        self.cusum_neg = (self.cusum_neg - err - cusum_k).max(0.0);
+        if self.fired || self.count < WARMUP_QUANTA {
             return None;
         }
         let deviation = (self.ewma_us - expected).abs() / expected;
-        let stale = deviation > self.cfg.tolerance
-            || self.cusum_pos > self.cfg.cusum_h
-            || self.cusum_neg > self.cfg.cusum_h;
+        let stale = deviation > tolerance || self.cusum_pos > cusum_h || self.cusum_neg > cusum_h;
         if !stale {
             return None;
         }
@@ -254,9 +234,8 @@ mod tests {
     }
 
     #[test]
-    fn warmup_floor_holds_even_when_asked_for_less() {
-        let mut d =
-            DriftDetector::new(DriftConfig::new(us(200), 0.1).with_min_quanta(0));
+    fn warmup_floor_holds() {
+        let mut d = DriftDetector::new(DriftConfig::new(us(200), 0.1));
         // Wildly off-target from the start, but the floor of 3 holds.
         assert_eq!(d.observe(us(500)), None);
         assert_eq!(d.observe(us(500)), None);

@@ -10,7 +10,7 @@
 //! [`TraceKind`] events ([`TelemetryHub::observe`]) and snapshotted at a
 //! fixed **virtual-time** cadence, so two runs of the same experiment
 //! produce byte-identical telemetry however the surrounding harness is
-//! parallelized — the same guarantee the trace ring gives.
+//! parallelized — the same guarantee the trace gives.
 //!
 //! On top of the registry sit two online health monitors:
 //!
@@ -21,7 +21,7 @@
 //!
 //! Alerts surface twice: as [`Alert`] values in the finished
 //! [`TelemetryReport`] (and hence the JSON-lines export) and — via the
-//! engine — as typed events in the trace ring, so they land on the
+//! engine — as typed events in the trace, so they land on the
 //! Perfetto timeline next to the quanta that caused them.
 //!
 //! Cost discipline matches the tracer: with telemetry off the hub holds no
@@ -58,9 +58,6 @@ pub struct TelemetryConfig {
     /// Streaming drift detection over observed quanta; one detector per
     /// client is cloned from this template.
     pub drift: Option<DriftConfig>,
-    /// Pre-run batching-plan observations `(batch_size, oldest_wait)`
-    /// seeded into the registry (see `serving::batching::plan_telemetry`).
-    pub batches: Vec<(u64, SimDuration)>,
 }
 
 impl Default for TelemetryConfig {
@@ -71,7 +68,6 @@ impl Default for TelemetryConfig {
             slos: Vec::new(),
             burn: BurnWindows::default(),
             drift: None,
-            batches: Vec::new(),
         }
     }
 }
@@ -107,12 +103,6 @@ impl TelemetryConfig {
     /// Enables streaming drift detection.
     pub fn with_drift(mut self, drift: DriftConfig) -> TelemetryConfig {
         self.drift = Some(drift);
-        self
-    }
-
-    /// Seeds batching-plan observations.
-    pub fn with_batches(mut self, batches: Vec<(u64, SimDuration)>) -> TelemetryConfig {
-        self.batches = batches;
         self
     }
 
@@ -430,7 +420,9 @@ impl TelemetryReport {
     }
 }
 
-/// Metric handles, registered once at hub construction.
+/// Metric handles, registered once at hub construction. The `_`-prefixed
+/// ones are never updated: they keep the exported metric set and its order
+/// stable, so those metrics always read 0.
 #[derive(Debug, Clone, Copy)]
 struct Ids {
     c_admitted: CounterId,
@@ -442,7 +434,7 @@ struct Ids {
     c_slo_breaches: CounterId,
     c_alerts_drift: CounterId,
     c_alerts_slo: CounterId,
-    c_batches: CounterId,
+    _batches_planned: CounterId,
     c_faults_kernel: CounterId,
     c_faults_alloc: CounterId,
     c_retries: CounterId,
@@ -456,7 +448,7 @@ struct Ids {
     c_promotions: CounterId,
     c_rollbacks: CounterId,
     c_drains: CounterId,
-    c_trace_dropped: CounterId,
+    _trace_dropped: CounterId,
     c_control_transitions: CounterId,
     c_admission_shed: CounterId,
     c_batch_shrinks: CounterId,
@@ -475,8 +467,8 @@ struct Ids {
     h_quantum: HistogramId,
     h_handoff: HistogramId,
     h_latency: HistogramId,
-    h_batch_size: HistogramId,
-    h_batch_wait: HistogramId,
+    _batch_size: HistogramId,
+    _batch_wait: HistogramId,
 }
 
 #[derive(Debug, Clone)]
@@ -587,7 +579,7 @@ impl TelemetryHub {
             c_slo_breaches: registry.counter("slo_breaches"),
             c_alerts_drift: registry.counter("alerts_drift"),
             c_alerts_slo: registry.counter("alerts_slo_burn"),
-            c_batches: registry.counter("batches_planned"),
+            _batches_planned: registry.counter("batches_planned"),
             c_faults_kernel: registry.counter("faults_kernel"),
             c_faults_alloc: registry.counter("faults_alloc"),
             c_retries: registry.counter("kernel_retries"),
@@ -601,7 +593,7 @@ impl TelemetryHub {
             c_promotions: registry.counter("canary_promotions"),
             c_rollbacks: registry.counter("canary_rollbacks"),
             c_drains: registry.counter("drains_started"),
-            c_trace_dropped: registry.counter("trace_dropped_events"),
+            _trace_dropped: registry.counter("trace_dropped_events"),
             c_control_transitions: registry.counter("control_transitions"),
             c_admission_shed: registry.counter("clients_admission_shed"),
             c_batch_shrinks: registry.counter("control_batch_shrinks"),
@@ -620,14 +612,9 @@ impl TelemetryHub {
             h_quantum: registry.histogram("quantum_us"),
             h_handoff: registry.histogram("handoff_us"),
             h_latency: registry.histogram("run_latency_us"),
-            h_batch_size: registry.histogram("batch_size"),
-            h_batch_wait: registry.histogram("batch_wait_us"),
+            _batch_size: registry.histogram("batch_size"),
+            _batch_wait: registry.histogram("batch_wait_us"),
         };
-        for &(size, wait) in &cfg.batches {
-            registry.inc(ids.c_batches, 1);
-            registry.observe(ids.h_batch_size, size);
-            registry.observe(ids.h_batch_wait, wait.as_nanos() / 1_000);
-        }
         let mut interned: HashMap<&str, u32> = HashMap::new();
         for name in client_models {
             let m = *interned.entry(name).or_insert_with(|| {
@@ -834,20 +821,6 @@ impl TelemetryHub {
         }
         let ids = self.ids();
         self.registry.observe(ids.h_handoff, latency.as_nanos() / 1_000);
-    }
-
-    /// The trace ring overwrote `n` events over the whole run (reported
-    /// once at finalization, before the final snapshot). A direct call: it
-    /// is a fact about the trace itself, not an event in it. A non-zero
-    /// value flags every trace-derived attribution as computed from a
-    /// truncated stream.
-    #[inline]
-    pub fn on_trace_dropped(&mut self, n: u64) {
-        if !self.on || n == 0 {
-            return;
-        }
-        let ids = self.ids();
-        self.registry.inc(ids.c_trace_dropped, n);
     }
 
     /// Acknowledges a burn alert on objective `slo`, resetting that
@@ -1194,29 +1167,5 @@ mod tests {
         assert!(r.alerts.iter().any(|a| a.kind() == "slo-burn"));
         // Alerts are stamped in non-decreasing time order.
         assert!(r.alerts.windows(2).all(|w| w[0].at() <= w[1].at()));
-    }
-
-    #[test]
-    fn trace_drop_count_lands_in_the_registry() {
-        let mut h = hub(&TelemetryConfig::enabled(us(100)), &[]);
-        h.on_trace_dropped(0);
-        h.on_trace_dropped(7);
-        h.finalize(t(50), &EngineGauges::default());
-        let r = h.into_report(t(50));
-        assert_eq!(r.counter("trace_dropped_events"), Some(7));
-    }
-
-    #[test]
-    fn batch_plan_seeds_the_registry() {
-        let cfg = TelemetryConfig::enabled(us(100))
-            .with_batches(vec![(4, us(120)), (2, us(30))]);
-        let mut h = hub(&cfg, &[]);
-        h.finalize(t(50), &EngineGauges::default());
-        let r = h.into_report(t(50));
-        assert_eq!(r.counter("batches_planned"), Some(2));
-        let s = r.hist("batch_size").unwrap();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 6);
-        assert_eq!(r.hist("batch_wait_us").unwrap().sum, 150);
     }
 }

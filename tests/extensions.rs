@@ -267,7 +267,6 @@ fn trace_records_the_full_lifecycle() {
     assert!(report.all_finished());
     let trace = &report.trace;
     assert!(!trace.is_empty());
-    assert_eq!(trace.dropped, 0);
     // Timestamps never go backwards and sequence numbers are dense.
     assert!(trace.events.windows(2).all(|w| w[0].at <= w[1].at));
     assert!(trace.events.iter().enumerate().all(|(i, e)| e.seq == i as u64));

@@ -217,8 +217,8 @@ const ONE_EVENT_EACH: [(&str, &str); 26] = [
     ("cluster_reconfigs", "ClusterReconfig"),
 ];
 
-/// Counters fed by the configuration or by the trace itself, not by
-/// events in it.
+/// Counters no event feeds: they stay registered so the export keeps its
+/// metric set, and always read 0.
 const NOT_EVENTS: [&str; 2] = ["batches_planned", "trace_dropped_events"];
 
 /// Where the clients' models live in one cell.
@@ -342,7 +342,6 @@ fn kind_name(kind: &TraceKind) -> String {
 /// Checks every final counter of `report` against the events of its
 /// lossless trace and returns the checked counter values.
 fn assert_counters_match_events(report: &RunReport, cell: &str) -> BTreeMap<String, u64> {
-    assert_eq!(report.trace.dropped, 0, "{cell}: the trace must be lossless");
     let objective = |client: u32| {
         let model = &report.clients[client as usize].model_name;
         report.telemetry.slos.iter().find(|s| &s.model == model).map(|s| s.objective)
@@ -375,9 +374,6 @@ fn assert_counters_match_events(report: &RunReport, cell: &str) -> BTreeMap<Stri
     }
     let mut checked = BTreeMap::new();
     for &name in &report.telemetry.counter_names {
-        if NOT_EVENTS.contains(&name) {
-            continue;
-        }
         let want = match ONE_EVENT_EACH.iter().find(|(c, _)| *c == name) {
             Some((_, kind)) => events.get(*kind).copied().unwrap_or(0),
             None if matches!(
@@ -387,6 +383,7 @@ fn assert_counters_match_events(report: &RunReport, cell: &str) -> BTreeMap<Stri
             {
                 derived.get(name).copied().unwrap_or(0)
             }
+            None if NOT_EVENTS.contains(&name) => 0,
             None => panic!("{cell}: counter {name} has no event behind it"),
         };
         let got = report.telemetry.counter(name).expect("registered counter");
